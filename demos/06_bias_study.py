@@ -6,8 +6,8 @@ percentile-bootstrap confidence interval. Reports are byte-identical
 for a given configuration no matter how many worker processes ran the
 replicates.
 
-This demo runs a reduced study (200 replicates x 400 patients) in a
-few seconds. The full-size experiment (1000 x 1000, the acceptance
+This demo runs a reduced study (200 replicates x 400 patients) in
+well under a second. The full-size experiment (1000 x 1000, the acceptance
 setting) gives, at master seed 20260815:
 
   scenario A: npmle -0.05 pp [CI -0.24, +0.13], ccw -0.05 pp [CI -0.23, +0.14]

@@ -45,8 +45,10 @@ __all__ = [
     "DgpTable",
     "Trajectory",
     "Cohort",
+    "TrajectoryCounts",
     "default_dgp",
     "sample_cohort",
+    "sample_counts",
     "enumerate_distribution",
     "counterfactual_survival",
     "true_ate",
@@ -114,10 +116,6 @@ def _propensity_at(dgp: DgpTable, k: int, history: tuple[int, ...]) -> float:
             f"dgp table has no propensity entry for period {k} with history "
             f"{history}; does the table match the scenario?"
         ) from None
-
-
-def _hazard_history_length(kind: ScenarioKind, k: int) -> int:
-    return k if kind.treatment_first else k - 1
 
 
 def default_dgp(kind: ScenarioKind) -> DgpTable:
@@ -233,14 +231,75 @@ def _prob_array(
     return out
 
 
-def sample_cohort(dgp: DgpTable, kind: ScenarioKind, n: int, seed: int) -> Cohort:
-    """Draw ``n`` independent trajectories.
+def _trajectories(x: np.ndarray, y: np.ndarray) -> tuple[Trajectory, ...]:
+    """One trajectory per row of int8 arrays with -1 for ``u``."""
+    return tuple(
+        Trajectory(tuple(UNCLEAR if xv < 0 else xv for xv in xr), tuple(yr))
+        for xr, yr in zip(x.tolist(), y.tolist())
+    )
 
-    Fully deterministic given (dgp, kind, n, seed): each Bernoulli draw
-    is keyed by (seed, patient index, period, slot), so identical
-    inputs give bitwise-identical cohorts and patient i's trajectory
-    does not depend on n.
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryCounts:
+    """The distinct trajectories of a cohort with their patient counts.
+
+    Row i is one distinct trajectory: ``x[i]`` its treatments (int8, -1
+    where unobservable), ``y[i]`` its vital status, ``count[i]`` the
+    number of patients who follow it and ``weight[i]`` their summed
+    patient weight (``count[i]`` when unweighted). These counts are a
+    sufficient statistic for the estimators in
+    :mod:`ttebench.estimators`.
     """
+
+    x: np.ndarray
+    y: np.ndarray
+    count: np.ndarray
+    weight: np.ndarray
+    scenario: ScenarioKind
+
+    @property
+    def n(self) -> int:
+        """Number of patients."""
+        return int(self.count.sum())
+
+    @property
+    def T(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """The distinct trajectories, one per row."""
+        return _trajectories(self.x, self.y)
+
+    @classmethod
+    def from_cohort(
+        cls, cohort: Cohort, weights: np.ndarray | None = None
+    ) -> "TrajectoryCounts":
+        """Collapse a cohort; ``weights`` holds one weight per patient."""
+        index: dict[tuple, int] = {}
+        inverse = [
+            index.setdefault((traj.x, traj.y), len(index))
+            for traj in cohort.trajectories
+        ]
+        shape = (len(index), cohort.T)
+        x = np.array(
+            [[-1 if xv == UNCLEAR else xv for xv in xs] for xs, _ in index],
+            dtype=np.int8,
+        ).reshape(shape)
+        y = np.array([ys for _, ys in index], dtype=np.int8).reshape(shape)
+        count = np.bincount(inverse, minlength=len(index))
+        if weights is None:
+            weight = count.astype(np.float64)
+        else:
+            weight = np.bincount(inverse, weights=weights, minlength=len(index))
+        return cls(x, y, count, weight, cohort.scenario)
+
+
+def _sample_arrays(
+    dgp: DgpTable, kind: ScenarioKind, n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-patient int8 arrays ``x`` and ``y`` of shape (n, T); ``x`` is
+    -1 where the treatment is unobservable."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     T = dgp.T
@@ -270,16 +329,36 @@ def sample_cohort(dgp: DgpTable, kind: ScenarioKind, n: int, seed: int) -> Cohor
             treated = alive & (u_trt < p_trt)
             x[alive, k - 1] = treated[alive].astype(np.int8)
             code = code + (treated.astype(np.int64) << (k - 1))
-    x_rows = x.tolist()
-    y_rows = y.tolist()
-    trajectories = tuple(
-        Trajectory(
-            tuple(UNCLEAR if xv < 0 else xv for xv in xr),
-            tuple(yr),
-        )
-        for xr, yr in zip(x_rows, y_rows)
+    return x, y
+
+
+def sample_cohort(dgp: DgpTable, kind: ScenarioKind, n: int, seed: int) -> Cohort:
+    """Draw ``n`` independent trajectories.
+
+    Fully deterministic given (dgp, kind, n, seed): each Bernoulli draw
+    is keyed by (seed, patient index, period, slot), so identical
+    inputs give bitwise-identical cohorts and patient i's trajectory
+    does not depend on n.
+    """
+    x, y = _sample_arrays(dgp, kind, n, seed)
+    return Cohort(trajectories=_trajectories(x, y), scenario=kind, seed=seed)
+
+
+def sample_counts(
+    dgp: DgpTable, kind: ScenarioKind, n: int, seed: int
+) -> TrajectoryCounts:
+    """The distinct trajectories of :func:`sample_cohort` with their
+    patient counts, drawn without building per-patient objects."""
+    x, y = _sample_arrays(dgp, kind, n, seed)
+    T = x.shape[1]
+    # A valid trajectory is fixed by its treated periods and the number
+    # of periods survived, so this code is distinct per trajectory.
+    treated_bits = (x == 1).astype(np.int64) @ (np.int64(1) << np.arange(T))
+    code = treated_bits * (T + 1) + (T - y.sum(axis=1, dtype=np.int64))
+    _, rows, count = np.unique(code, return_index=True, return_counts=True)
+    return TrajectoryCounts(
+        x[rows], y[rows], count, count.astype(np.float64), kind
     )
-    return Cohort(trajectories=trajectories, scenario=kind, seed=seed)
 
 
 def enumerate_distribution(
@@ -359,8 +438,7 @@ def counterfactual_survival(
     out: list[float] = []
     s = 1.0
     for k in range(1, T + 1):
-        hist = xs[:k] if kind.treatment_first else xs[: k - 1]
-        s *= 1.0 - _hazard_at(dgp, k, hist)
+        s *= 1.0 - _hazard_at(dgp, k, kind.hazard_history(xs, k))
         out.append(s)
     return out
 
@@ -392,20 +470,35 @@ def read_cohort_csv(path: str | Path, scenario: ScenarioKind) -> Cohort:
     """Read a cohort written by :func:`write_cohort_csv` and validate it."""
     rows: dict[int, dict[int, tuple]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "period", "x", "y"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        required = ("id", "period", "x", "y")
+        if header is None or not set(required).issubset(header):
             raise ValueError(
-                f"cohort CSV must have columns id,period,x,y, "
-                f"got {reader.fieldnames}"
+                f"cohort CSV must have columns id,period,x,y, got {header}"
             )
-        for row in reader:
-            pid = int(row["id"])
-            period = int(row["period"])
-            xv = row["x"].strip()
+        columns = [header.index(name) for name in required]
+        width = max(columns) + 1
+        for line in reader:
+            if not line:
+                continue
+            if len(line) < width:
+                raise ValueError(
+                    f"cohort CSV line {reader.line_num} has {len(line)} "
+                    f"fields, expected {len(header)}"
+                )
+            pid_s, period_s, xv, yv = (line[c] for c in columns)
+            pid = int(pid_s)
+            period = int(period_s)
+            xv = xv.strip()
             x_val: int | str = UNCLEAR if xv == UNCLEAR else int(xv)
-            y_val = int(row["y"])
-            rows.setdefault(pid, {})[period] = (x_val, y_val)
+            periods = rows.setdefault(pid, {})
+            if period in periods:
+                raise ValueError(
+                    f"cohort CSV has a duplicate row for patient {pid}, "
+                    f"period {period}"
+                )
+            periods[period] = (x_val, int(yv))
     trajectories = []
     for pid in sorted(rows):
         periods = rows[pid]

@@ -32,6 +32,12 @@ All weights use survivor-conditioned treatment probabilities
 ``P(x_k | Y_k = 0, x_{<k})`` — in scenario B this conditioning on the
 period's survivors rather than its entrants is precisely what the
 lagged convention turns into bias.
+
+Both estimators run on one representation: the cohort's distinct
+trajectories with their patient counts and summed patient weights
+(:class:`~ttebench.dgp.TrajectoryCounts`), a sufficient statistic for
+every stratum and risk set. Sampled cohorts, CSV cohorts and the exact
+population limit (:func:`ccw_asymptotic`) all go through it.
 """
 
 from __future__ import annotations
@@ -44,7 +50,9 @@ from typing import Mapping, Sequence
 
 import json
 
-from .dgp import Cohort, DgpTable, UNCLEAR, enumerate_distribution
+import numpy as np
+
+from .dgp import Cohort, DgpTable, TrajectoryCounts, enumerate_distribution
 from .errors import EmptyStratum, NoAtRiskRows
 from .scenarios import Regime, ScenarioKind
 
@@ -139,32 +147,55 @@ class StratumTable:
         return self.survivor_propensity.get((k, history), _EMPTY_STRATUM)
 
 
-def _patient_weights(cohort: Cohort, weights) -> Sequence[float]:
+CohortData = Cohort | TrajectoryCounts
+
+
+def _patient_weights(cohort: Cohort, weights) -> np.ndarray | None:
     if weights is None:
-        return [1.0] * cohort.n
-    weights = list(weights)
-    if len(weights) != cohort.n:
+        return None
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (cohort.n,):
         raise ValueError(
-            f"weights has length {len(weights)}, cohort has {cohort.n} patients"
+            f"weights has length {w.size}, cohort has {cohort.n} patients"
         )
-    if any(w < 0 for w in weights):
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(
+            f"patient weights must be finite; weight {bad[0]} is {w[bad[0]]}"
+        )
+    if (w < 0).any():
         raise ValueError("patient weights must be nonnegative")
-    return weights
+    return w
+
+
+def _as_counts(data: CohortData, weights) -> TrajectoryCounts:
+    """Collapse the input into distinct trajectories, patient counts and
+    summed weights, the one representation the estimators run on."""
+    if isinstance(data, TrajectoryCounts):
+        if weights is not None:
+            raise ValueError(
+                "weights are per patient; pass a Cohort, not TrajectoryCounts"
+            )
+        return data
+    return TrajectoryCounts.from_cohort(data, _patient_weights(data, weights))
 
 
 def fit_strata(
-    cohort: Cohort, kind: ScenarioKind, *, weights: Sequence[float] | None = None
+    cohort: CohortData, kind: ScenarioKind, *, weights: Sequence[float] | None = None
 ) -> StratumTable:
     """Exact (optionally weighted) counts for every observed stratum.
 
-    With ``weights`` equal to exact trajectory probabilities from
+    ``cohort`` is a per-patient :class:`~ttebench.dgp.Cohort` (with
+    optional per-patient ``weights``) or its
+    :class:`~ttebench.dgp.TrajectoryCounts`. With ``weights`` equal to
+    exact trajectory probabilities from
     :func:`~ttebench.dgp.enumerate_distribution`, the fitted proportions
     reproduce the generating tables exactly, which is how the
     population-level oracles are built.
     """
     if cohort.n == 0:
         raise ValueError("cohort is empty")
-    w = _patient_weights(cohort, weights)
+    counts = _as_counts(cohort, weights)
     hazard: dict[Key, list[float]] = {}
     propensity: dict[Key, list[float]] = {}
     survivor: dict[Key, list[float]] = {}
@@ -175,14 +206,16 @@ def fit_strata(
         if hit:
             cell[0] += wt
 
-    T = cohort.T
-    for traj, wt in zip(cohort.trajectories, w):
+    T = counts.T
+    for xs, ys, wt in zip(
+        counts.x.tolist(), counts.y.tolist(), counts.weight.tolist()
+    ):
         if wt == 0.0:
             continue
         hist: tuple[int, ...] = ()
         for t in range(1, T + 1):
-            xv = traj.x[t - 1]
-            yv = traj.y[t - 1]
+            xv = xs[t - 1]
+            yv = ys[t - 1]
             if kind.treatment_first:
                 tally(propensity, (t, hist), xv == 1, wt)
                 hist_t = hist + (xv,)
@@ -235,10 +268,6 @@ class AteEstimate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _hazard_history(kind: ScenarioKind, path: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return path[:k] if kind.treatment_first else path[: k - 1]
-
-
 def _plugin_curve(
     strata: StratumTable, kind: ScenarioKind, regime: Regime, T: int
 ) -> list[float]:
@@ -251,7 +280,7 @@ def _plugin_curve(
     out: list[float] = []
     s = 1.0
     for k in range(1, T + 1):
-        hist = _hazard_history(kind, path, k)
+        hist = kind.hazard_history(path, k)
         stratum = strata.hazard_at(k, hist)
         if not stratum.defined:
             raise EmptyStratum(k, hist, role="hazard")
@@ -261,26 +290,35 @@ def _plugin_curve(
 
 
 def npmle_ate(
-    cohort: Cohort,
+    cohort: CohortData,
     kind: ScenarioKind,
     treat: Regime,
     control: Regime,
     *,
     weights: Sequence[float] | None = None,
     baseline: Sequence | None = None,
+    strata: StratumTable | None = None,
 ) -> AteEstimate:
     """Plug-in of observed hazard proportions into the product estimand.
 
     Grace-period regimes are handled by uniformly averaging the curves
     of their initiation components. With ``baseline`` given (one label
-    per patient), curves are fitted within each baseline level and
-    standardized over the levels' empirical (weighted) distribution.
+    per patient of a :class:`~ttebench.dgp.Cohort`), curves are fitted
+    within each baseline level and standardized over the levels'
+    empirical (weighted) distribution. ``strata`` reuses a
+    :func:`fit_strata` of the same cohort and weights.
     """
     T = cohort.T
     treat.validate(T)
     control.validate(T)
-    w = _patient_weights(cohort, weights)
     if baseline is not None:
+        if not isinstance(cohort, Cohort) or strata is not None:
+            raise ValueError(
+                "baseline standardization needs a per-patient Cohort and "
+                "fits its own strata"
+            )
+        w = _patient_weights(cohort, weights)
+        w = [1.0] * cohort.n if w is None else w.tolist()
         baseline = list(baseline)
         if len(baseline) != cohort.n:
             raise ValueError(
@@ -302,14 +340,15 @@ def npmle_ate(
             sub = Cohort(
                 tuple(cohort.trajectories[i] for i in idx), cohort.scenario
             )
-            strata = fit_strata(sub, kind, weights=[w[i] for i in idx])
-            for k, v in enumerate(_plugin_curve(strata, kind, treat, T)):
+            sub_strata = fit_strata(sub, kind, weights=[w[i] for i in idx])
+            for k, v in enumerate(_plugin_curve(sub_strata, kind, treat, T)):
                 curve_t[k] += share * v
-            for k, v in enumerate(_plugin_curve(strata, kind, control, T)):
+            for k, v in enumerate(_plugin_curve(sub_strata, kind, control, T)):
                 curve_c[k] += share * v
         s_treat, s_control = curve_t, curve_c
     else:
-        strata = fit_strata(cohort, kind, weights=weights)
+        if strata is None:
+            strata = fit_strata(cohort, kind, weights=weights)
         s_treat = _plugin_curve(strata, kind, treat, T)
         s_control = _plugin_curve(strata, kind, control, T)
     return AteEstimate(
@@ -356,6 +395,55 @@ def _survivor_factor(
     return 1.0 / prob
 
 
+def _arm_path(regime: Regime, T: int) -> tuple[int, ...]:
+    """The treatment path of a cloned arm over periods 1..T."""
+    if not regime.is_deterministic:
+        raise ValueError(
+            "grace-period regimes are not supported by cloning-censoring-"
+            "weighting; use npmle_ate"
+        )
+    regime.validate(T)
+    return tuple(regime.treatment_at(t) for t in range(1, T + 1))
+
+
+def _clone_periods(
+    counts: TrajectoryCounts,
+    strata: StratumTable,
+    path: tuple[int, ...],
+    weight_convention: WeightConvention,
+) -> list[list[tuple[bool, bool, float]]]:
+    """Per distinct trajectory, its clone's ``(event, censored_now,
+    weight)`` in each at-risk period, from period 1 on.
+
+    The weight is per unit of patient weight. Every clone of the arm
+    follows one treatment path, so the first stratum that fails is the
+    same whichever trajectory meets it first.
+    """
+    lagged = weight_convention is WeightConvention.LAGGED
+    out = []
+    for xs, ys in zip(counts.x.tolist(), counts.y.tolist()):
+        periods = []
+        w_run = 1.0
+        hist: tuple[int, ...] = ()
+        for t, (xv, yv, target) in enumerate(zip(xs, ys, path), start=1):
+            censored_now = not (xv < 0 or xv == target)
+            event = yv == 1
+            if lagged:
+                weight = w_run
+            elif censored_now:
+                weight = 0.0
+            else:
+                factor = 1.0 if xv < 0 else _survivor_factor(strata, t, hist, xv)
+                weight = w_run * factor
+            periods.append((event, censored_now, weight))
+            if event or censored_now:
+                break
+            w_run *= _survivor_factor(strata, t, hist, xv)
+            hist = hist + (xv,)
+        out.append(periods)
+    return out
+
+
 def clone_rows(
     cohort: Cohort,
     kind: ScenarioKind,
@@ -367,73 +455,50 @@ def clone_rows(
 ) -> list[CloneRow]:
     """The clone-level rows of one arm, one row per patient-period.
 
-    Weights already include the optional per-patient weights, so
-    downstream pooling is a plain weighted proportion per period.
+    An audit view of what :func:`ccw_ate` pools. Weights already include
+    the optional per-patient weights, so pooling is a plain weighted
+    proportion per period.
     """
-    if not regime.is_deterministic:
-        raise ValueError(
-            "grace-period regimes are not supported by cloning-censoring-"
-            "weighting; use npmle_ate"
-        )
-    T = cohort.T
-    regime.validate(T)
-    if strata is None:
-        strata = fit_strata(cohort, kind, weights=weights)
+    path = _arm_path(regime, cohort.T)
     w = _patient_weights(cohort, weights)
+    counts = TrajectoryCounts.from_cohort(cohort, w)
+    if strata is None:
+        strata = fit_strata(counts, kind)
+    periods = _clone_periods(counts, strata, path, weight_convention)
+    row_of = {traj: i for i, traj in enumerate(counts.trajectories)}
+    pw_list = [1.0] * cohort.n if w is None else w.tolist()
     rows: list[CloneRow] = []
-    for pid, (traj, pw) in enumerate(zip(cohort.trajectories, w)):
-        w_run = 1.0
-        censored = False
-        hist: tuple[int, ...] = ()
-        alive = True
-        for t in range(1, T + 1):
-            xv = traj.x[t - 1]
-            yv = traj.y[t - 1]
-            at_risk = alive and not censored
-            if not at_risk:
-                rows.append(CloneRow(pid, regime, t, False, False, False, 0.0))
-                alive = alive and yv == 0
-                continue
-            target = regime.treatment_at(t)
-            compatible = xv == UNCLEAR or xv == target
-            censored_now = not compatible
-            event = yv == 1
-            if weight_convention is WeightConvention.LAGGED:
-                weight = w_run * pw
-            elif censored_now:
-                weight = 0.0
-            else:
-                factor = 1.0 if xv == UNCLEAR else _survivor_factor(
-                    strata, t, hist, xv
+    for pid, (traj, pw) in enumerate(zip(cohort.trajectories, pw_list)):
+        at_risk = periods[row_of[traj]]
+        for t in range(1, cohort.T + 1):
+            if t <= len(at_risk):
+                event, censored_now, weight = at_risk[t - 1]
+                rows.append(
+                    CloneRow(pid, regime, t, True, event, censored_now,
+                             weight * pw)
                 )
-                weight = w_run * factor * pw
-            rows.append(
-                CloneRow(pid, regime, t, True, event, censored_now, weight)
-            )
-            if event:
-                alive = False
-            elif censored_now:
-                censored = True
             else:
-                w_run *= _survivor_factor(strata, t, hist, xv)
-                hist = hist + (xv,)
+                rows.append(CloneRow(pid, regime, t, False, False, False, 0.0))
     return rows
 
 
 def _pooled_curve(
-    rows: list[CloneRow], T: int, arm_name: str
+    counts: TrajectoryCounts,
+    periods: list[list[tuple[bool, bool, float]]],
+    arm_name: str,
 ) -> tuple[list[float], dict]:
+    T = counts.T
     num = [0.0] * T
     den = [0.0] * T
     n_at_risk = [0] * T
-    for row in rows:
-        if not row.at_risk:
-            continue
-        k = row.period - 1
-        n_at_risk[k] += 1
-        den[k] += row.weight
-        if row.event:
-            num[k] += row.weight
+    for at_risk, c, wt in zip(
+        periods, counts.count.tolist(), counts.weight.tolist()
+    ):
+        for k, (event, _, weight) in enumerate(at_risk):
+            n_at_risk[k] += c
+            den[k] += weight * wt
+            if event:
+                num[k] += weight * wt
     curve: list[float] = []
     hazards: list[float] = []
     s = 1.0
@@ -454,23 +519,28 @@ def _pooled_curve(
 
 
 def ccw_ate(
-    cohort: Cohort,
+    cohort: CohortData,
     kind: ScenarioKind,
     treat: Regime,
     control: Regime,
     weight_convention: WeightConvention = WeightConvention.LAGGED,
     *,
     weights: Sequence[float] | None = None,
+    strata: StratumTable | None = None,
 ) -> AteEstimate:
     """Cloning-censoring-weighting estimate of the survival difference.
 
     Patients are cloned into both arms, censored at the first
     incompatible treatment, and weighted per the convention; per-period
     hazards are exact weighted proportions (the MLE of a saturated
-    weighted model) and survival is their product.
+    weighted model) and survival is their product. Each arm is pooled
+    straight from the distinct trajectories; :func:`clone_rows` lists
+    the same rows per patient. ``strata`` reuses a :func:`fit_strata`
+    of the same cohort and weights.
     """
-    T = cohort.T
-    strata = fit_strata(cohort, kind, weights=weights)
+    counts = _as_counts(cohort, weights)
+    if strata is None:
+        strata = fit_strata(counts, kind)
     curves: dict[str, list[float]] = {}
     diagnostics: dict = {
         "method": "ccw",
@@ -478,15 +548,9 @@ def ccw_ate(
         "arms": {},
     }
     for name, regime in (("treat", treat), ("control", control)):
-        rows = clone_rows(
-            cohort,
-            kind,
-            regime,
-            weight_convention,
-            strata=strata,
-            weights=weights,
-        )
-        curve, diag = _pooled_curve(rows, T, regime.describe())
+        path = _arm_path(regime, counts.T)
+        periods = _clone_periods(counts, strata, path, weight_convention)
+        curve, diag = _pooled_curve(counts, periods, regime.describe())
         curves[name] = curve
         diagnostics["arms"][name] = {"regime": regime.describe(), **diag}
     return AteEstimate(

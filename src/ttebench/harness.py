@@ -24,7 +24,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -32,9 +31,9 @@ from typing import Mapping
 import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_REPLICATE, hash_key, uniform_array
-from .dgp import default_dgp, sample_cohort, true_ate
+from .dgp import default_dgp, sample_counts, true_ate
 from .errors import AllReplicatesFailed, EmptyStratum, NoAtRiskRows
-from .estimators import WeightConvention, ccw_ate, npmle_ate
+from .estimators import WeightConvention, ccw_ate, fit_strata, npmle_ate
 from .scenarios import Regime, ScenarioKind
 
 __all__ = [
@@ -216,9 +215,10 @@ class BiasReport:
 def _replicate_worker(args: tuple) -> tuple[int, dict[str, float | None]]:
     """Run all selected estimators on one simulated cohort.
 
-    Top-level and fed only picklable primitives so it can cross a
-    process boundary; results are returned with the replicate index so
-    aggregation is order-independent.
+    The cohort is sampled straight to its distinct-trajectory counts and
+    fitted once; every estimator shares that fit. Top-level and fed only
+    picklable primitives so it can cross a process boundary; results are
+    returned with the replicate index so aggregation is order-independent.
     """
     (index, scenario_code, n_patients, seed, estimators,
      convention_code, treat_desc, control_desc) = args
@@ -226,16 +226,18 @@ def _replicate_worker(args: tuple) -> tuple[int, dict[str, float | None]]:
     convention = WeightConvention.from_code(convention_code)
     treat = Regime.from_descriptor(treat_desc)
     control = Regime.from_descriptor(control_desc)
-    dgp = default_dgp(kind)
-    cohort = sample_cohort(dgp, kind, n_patients, seed)
+    counts = sample_counts(default_dgp(kind), kind, n_patients, seed)
+    strata = fit_strata(counts, kind)
     out: dict[str, float | None] = {}
     for name in estimators:
         try:
             if name == "npmle":
-                out[name] = npmle_ate(cohort, kind, treat, control).ate
+                out[name] = npmle_ate(
+                    counts, kind, treat, control, strata=strata
+                ).ate
             else:
                 out[name] = ccw_ate(
-                    cohort, kind, treat, control, convention
+                    counts, kind, treat, control, convention, strata=strata
                 ).ate
         except (EmptyStratum, NoAtRiskRows):
             out[name] = None
@@ -303,6 +305,10 @@ def run_bias_study(config: StudyConfig) -> BiasReport:
             index, out = _replicate_worker(task)
             results[index] = out
     else:
+        # Imported here: the process machinery costs about 2 MB of
+        # memory that serial studies never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for index, out in pool.map(
                 _replicate_worker, tasks, chunksize=max(1, len(tasks) // (workers * 4))

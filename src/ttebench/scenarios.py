@@ -66,6 +66,11 @@ class ScenarioKind(Enum):
         """True when the period's treatment precedes its outcome."""
         return self is ScenarioKind.NO_WITHIN_PERIOD_OUTCOME_EFFECT
 
+    def hazard_history(self, path: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """The prefix of a treatment path that the period-k hazard
+        conditions on: through k when treatment comes first, else k-1."""
+        return path[:k] if self.treatment_first else path[: k - 1]
+
 
 class Strategy(Enum):
     NEVER = "never"

@@ -2,8 +2,10 @@
 
 These deliberately use different algorithms from the implementations
 they check: m-separation by exhaustive simple-path enumeration instead
-of reachability, and counterfactual survival by enumerating the
-intervened generating process instead of the closed-form product.
+of reachability, counterfactual survival by enumerating the
+intervened generating process instead of the closed-form product, and
+the estimators by walking every patient and every clone row instead of
+the distinct-trajectory counts.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from ttebench.dgp import DgpTable, enumerate_distribution
+from ttebench.dgp import UNCLEAR, Cohort, DgpTable, enumerate_distribution
+from ttebench.errors import EmptyStratum, NoAtRiskRows
+from ttebench.estimators import (
+    CloneRow,
+    Stratum,
+    StratumTable,
+    WeightConvention,
+)
 from ttebench.graphs import Admg, NodeLabel, X, ancestors, build_graph
 from ttebench.scenarios import Regime, ScenarioKind
 
@@ -122,3 +131,184 @@ def survival_by_enumeration(
     return [
         sum(p for traj, p in support if traj.y[k] == 0) for k in range(T)
     ]
+
+
+# ------------------------------------------------- per-patient estimators
+
+
+def _patient_weights(cohort: Cohort, weights) -> list[float]:
+    return [1.0] * cohort.n if weights is None else list(weights)
+
+
+def oracle_fit_strata(
+    cohort: Cohort, kind: ScenarioKind, weights=None
+) -> StratumTable:
+    """Stratum counts tallied patient by patient."""
+    w = _patient_weights(cohort, weights)
+    hazard: dict = {}
+    propensity: dict = {}
+    survivor: dict = {}
+
+    def tally(table: dict, key, hit: bool, wt: float):
+        cell = table.setdefault(key, [0.0, 0.0])
+        cell[1] += wt
+        if hit:
+            cell[0] += wt
+
+    for traj, wt in zip(cohort.trajectories, w):
+        if wt == 0.0:
+            continue
+        hist: tuple = ()
+        for t in range(1, cohort.T + 1):
+            xv = traj.x[t - 1]
+            yv = traj.y[t - 1]
+            if kind.treatment_first:
+                tally(propensity, (t, hist), xv == 1, wt)
+                hist_t = hist + (xv,)
+                tally(hazard, (t, hist_t), yv == 1, wt)
+                if yv == 1:
+                    break
+                tally(survivor, (t, hist), xv == 1, wt)
+                hist = hist_t
+            else:
+                tally(hazard, (t, hist), yv == 1, wt)
+                if yv == 1:
+                    break
+                tally(propensity, (t, hist), xv == 1, wt)
+                hist = hist + (xv,)
+
+    def freeze(table: dict) -> dict:
+        return {key: Stratum(num, den) for key, (num, den) in table.items()}
+
+    propensity_f = freeze(propensity)
+    return StratumTable(
+        scenario=kind,
+        T=cohort.T,
+        hazard=freeze(hazard),
+        propensity=propensity_f,
+        survivor_propensity=freeze(survivor) if kind.treatment_first
+        else propensity_f,
+    )
+
+
+def _oracle_plugin_curve(strata, kind, regime, T) -> list[float]:
+    if not regime.is_deterministic:
+        curves = [
+            _oracle_plugin_curve(strata, kind, comp, T)
+            for comp in regime.components()
+        ]
+        return [sum(c[k] for c in curves) / len(curves) for k in range(T)]
+    path = tuple(regime.treatment_at(t) for t in range(1, T + 1))
+    out = []
+    s = 1.0
+    for k in range(1, T + 1):
+        hist = path[:k] if kind.treatment_first else path[: k - 1]
+        stratum = strata.hazard_at(k, hist)
+        if not stratum.defined:
+            raise EmptyStratum(k, hist, role="hazard")
+        s *= 1.0 - stratum.proportion
+        out.append(s)
+    return out
+
+
+def oracle_npmle(cohort, kind, treat, control, weights=None):
+    """Plug-in ``(survival_treat, survival_control, ate)``."""
+    strata = oracle_fit_strata(cohort, kind, weights)
+    s_t = _oracle_plugin_curve(strata, kind, treat, cohort.T)
+    s_c = _oracle_plugin_curve(strata, kind, control, cohort.T)
+    return s_t, s_c, s_t[-1] - s_c[-1]
+
+
+def _survivor_factor(strata, k, history, observed) -> float:
+    stratum = strata.survivor_propensity_at(k, history)
+    if not stratum.defined:
+        raise EmptyStratum(k, history, role="propensity")
+    p = stratum.proportion
+    prob = p if observed == 1 else 1.0 - p
+    if prob <= 0.0:
+        raise EmptyStratum(k, history, role="propensity")
+    return 1.0 / prob
+
+
+def oracle_clone_rows(
+    cohort, kind, regime, weight_convention, strata, weights=None
+) -> list[CloneRow]:
+    """One clone row per patient-period, built patient by patient."""
+    w = _patient_weights(cohort, weights)
+    rows = []
+    for pid, (traj, pw) in enumerate(zip(cohort.trajectories, w)):
+        w_run = 1.0
+        censored = False
+        hist: tuple = ()
+        alive = True
+        for t in range(1, cohort.T + 1):
+            xv = traj.x[t - 1]
+            yv = traj.y[t - 1]
+            if not (alive and not censored):
+                rows.append(CloneRow(pid, regime, t, False, False, False, 0.0))
+                alive = alive and yv == 0
+                continue
+            censored_now = not (xv == UNCLEAR or xv == regime.treatment_at(t))
+            event = yv == 1
+            if weight_convention is WeightConvention.LAGGED:
+                weight = w_run * pw
+            elif censored_now:
+                weight = 0.0
+            else:
+                factor = 1.0 if xv == UNCLEAR else _survivor_factor(
+                    strata, t, hist, xv
+                )
+                weight = w_run * factor * pw
+            rows.append(CloneRow(pid, regime, t, True, event, censored_now, weight))
+            if event:
+                alive = False
+            elif censored_now:
+                censored = True
+            else:
+                w_run *= _survivor_factor(strata, t, hist, xv)
+                hist = hist + (xv,)
+    return rows
+
+
+def oracle_pooled_curve(rows, T: int, arm_name: str):
+    """Survival curve and diagnostics pooled row by row."""
+    num = [0.0] * T
+    den = [0.0] * T
+    n_at_risk = [0] * T
+    for row in rows:
+        if not row.at_risk:
+            continue
+        k = row.period - 1
+        n_at_risk[k] += 1
+        den[k] += row.weight
+        if row.event:
+            num[k] += row.weight
+    curve, hazards = [], []
+    s = 1.0
+    for k in range(T):
+        if den[k] <= 0.0:
+            raise NoAtRiskRows(arm_name, k + 1)
+        h = num[k] / den[k]
+        hazards.append(h)
+        s *= 1.0 - h
+        curve.append(s)
+    return curve, {
+        "n_at_risk": n_at_risk,
+        "weighted_at_risk": den,
+        "weighted_events": num,
+        "hazard": hazards,
+    }
+
+
+def oracle_ccw(cohort, kind, treat, control, weight_convention, weights=None):
+    """Cloning-censoring-weighting ``(curves, arm diagnostics, ate)``."""
+    strata = oracle_fit_strata(cohort, kind, weights)
+    curves, arms = {}, {}
+    for name, regime in (("treat", treat), ("control", control)):
+        rows = oracle_clone_rows(
+            cohort, kind, regime, weight_convention, strata, weights
+        )
+        curves[name], arms[name] = oracle_pooled_curve(
+            rows, cohort.T, regime.describe()
+        )
+    return curves, arms, curves["treat"][-1] - curves["control"][-1]

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,21 @@ def test_estimate_bad_regime_descriptor_is_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_estimate_duplicate_csv_row_is_exit_1(tmp_path, capsys):
+    cohort = make_cohort_csv(tmp_path, capsys, n=20)
+    lines = cohort.read_text().splitlines()
+    cohort.write_text("\n".join(lines + [lines[4]]) + "\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--scenario", "B", "--cohort", str(cohort)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: ValueError: cohort CSV has a duplicate row for patient 1, "
+        "period 1"
+    ]
 
 
 # --------------------------------------------------------------- bias-study
@@ -392,6 +410,30 @@ def test_help_is_exit_0(capsys):
     assert "--scenario" in out
 
 
+def console_script(name):
+    """Command and environment that run a ``[project.scripts]`` entry.
+
+    Uses the installed script when it is on PATH; otherwise runs the
+    declared ``module:function`` from the source tree, as the installed
+    script would.
+    """
+    path = shutil.which(name)
+    if path is not None:
+        return [path], None
+    import tomllib
+
+    root = Path(__file__).resolve().parent.parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"][
+        "scripts"
+    ]
+    module, function = scripts[name].split(":")
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    return [sys.executable, "-c", code], {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def test_module_and_script_entry_points():
     result = subprocess.run(
         [sys.executable, "-m", "ttebench", "param-count", "--control", "365",
@@ -402,10 +444,12 @@ def test_module_and_script_entry_points():
     assert result.returncode == 0
     assert result.stdout.strip() == "10584"
 
+    command, env = console_script("ttebench")
     script = subprocess.run(
-        ["ttebench", "check-identification", "--scenario", "A", "--T", "2"],
+        command + ["check-identification", "--scenario", "A", "--T", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert script.returncode == 0
     assert "identified: yes" in script.stdout

@@ -270,6 +270,11 @@ def test_read_cohort_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError):
         read_cohort_csv(invalid, SCEN_A)
 
+    short = tmp_path / "short.csv"
+    short.write_text("id,period,x,y\n0,1,0\n")
+    with pytest.raises(ValueError, match="line 2 has 3 fields"):
+        read_cohort_csv(short, SCEN_A)
+
 
 def test_dgp_json_round_trip():
     for kind in (SCEN_A, SCEN_B):

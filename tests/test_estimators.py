@@ -28,6 +28,7 @@ from ttebench import (
     fit_strata,
     npmle_ate,
     sample_cohort,
+    sample_counts,
     true_ate,
     write_clone_csv,
 )
@@ -117,6 +118,22 @@ def test_weight_validation():
         fit_strata(cohort, SCEN_B, weights=[1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         fit_strata(cohort, SCEN_B, weights=[1.0, -0.5])
+    counts = sample_counts(default_dgp(SCEN_B), SCEN_B, 10, seed=1)
+    with pytest.raises(ValueError, match="per patient"):
+        fit_strata(counts, SCEN_B, weights=[1.0] * 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_rejected_by_index(bad):
+    cohort = b_cohort_t1([(1, 0), (0, 0), (1, 1)])
+    weights = [1.0, bad, bad]
+    for estimate in (
+        lambda: fit_strata(cohort, SCEN_B, weights=weights),
+        lambda: npmle_ate(cohort, SCEN_B, ALWAYS, NEVER, weights=weights),
+        lambda: ccw_ate(cohort, SCEN_B, ALWAYS, NEVER, weights=weights),
+    ):
+        with pytest.raises(ValueError, match="finite; weight 1 is"):
+            estimate()
 
 
 # ------------------------------------------------------------------- npmle
@@ -185,6 +202,9 @@ def test_npmle_baseline_must_cover_cohort():
     cohort = b_cohort_t1([(1, 0), (0, 0)])
     with pytest.raises(ValueError, match="baseline"):
         npmle_ate(cohort, SCEN_B, ALWAYS, NEVER, baseline=[0])
+    counts = sample_counts(default_dgp(SCEN_B), SCEN_B, 50, seed=1)
+    with pytest.raises(ValueError, match="per-patient Cohort"):
+        npmle_ate(counts, SCEN_B, ALWAYS, NEVER, baseline=[0] * 50)
 
 
 # ------------------------------------------------------- ccw (finite sample)
