@@ -18,12 +18,11 @@ written to standard error as ``error: <ErrorClass>: <message>``.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 
 from .dgp import (
-    cohort_rows,
     default_dgp,
     dgp_from_json,
     read_cohort_csv,
@@ -82,10 +81,7 @@ def _cmd_simulate(args) -> int:
     else:
         dgp = default_dgp(kind)
     cohort = sample_cohort(dgp, kind, args.n, args.seed)
-    if args.output is None:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(cohort_rows(cohort))
-    else:
-        write_cohort_csv(cohort, args.output)
+    write_cohort_csv(cohort, sys.stdout if args.output is None else args.output)
     return 0
 
 
@@ -112,34 +108,14 @@ def _cmd_bias_study(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = StudyConfig.from_json(fh.read())
     if args.report is not None:
-        config = StudyConfig(
-            **{**_config_kwargs(config), "report_path": args.report}
-        )
+        config = dataclasses.replace(config, report_path=args.report)
     if args.estimates is not None:
-        config = StudyConfig(
-            **{**_config_kwargs(config), "estimates_path": args.estimates}
-        )
+        config = dataclasses.replace(config, estimates_path=args.estimates)
     report = run_bias_study(config)
     _write_text(report.to_json(), config.report_path)
     if config.estimates_path is not None:
         write_estimates_csv(report, config.estimates_path)
     return 0
-
-
-def _config_kwargs(config: StudyConfig) -> dict:
-    return {
-        "scenario": config.scenario,
-        "n_replicates": config.n_replicates,
-        "n_patients": config.n_patients,
-        "master_seed": config.master_seed,
-        "estimators": config.estimators,
-        "weight_convention": config.weight_convention,
-        "bootstrap_iterations": config.bootstrap_iterations,
-        "treat": config.treat,
-        "control": config.control,
-        "report_path": config.report_path,
-        "estimates_path": config.estimates_path,
-    }
 
 
 def _cmd_check_identification(args) -> int:

@@ -23,11 +23,14 @@ before the treatment slot in scenario A and after it in scenario B.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Final, Mapping
+from typing import Callable, Final, Mapping, TextIO
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from ._rng import (
     STREAM_SAMPLE,
     uniform_array,
 )
-from .errors import SupportTooLarge
+from .errors import SupportTooLarge, check_positive_int
 from .scenarios import Regime, ScenarioKind
 
 __all__ = [
@@ -53,7 +56,6 @@ __all__ = [
     "counterfactual_survival",
     "true_ate",
     "validate_trajectory",
-    "cohort_rows",
     "write_cohort_csv",
     "read_cohort_csv",
     "dgp_to_json",
@@ -84,8 +86,7 @@ class DgpTable:
     propensity: Mapping[tuple[int, tuple[int, ...]], float]
 
     def __post_init__(self):
-        if not isinstance(self.T, int) or self.T < 1:
-            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
+        check_positive_int("T", self.T)
         for label, table in (("hazard", self.hazard), ("propensity", self.propensity)):
             for (k, hist), p in table.items():
                 if k < 1 or k > self.T:
@@ -208,7 +209,9 @@ class Cohort:
         return self.trajectories[0].T if self.trajectories else 0
 
     def validate(self) -> None:
-        for traj in self.trajectories:
+        # Equal trajectories fail alike, so the first failing distinct
+        # trajectory is the first failing patient.
+        for traj in dict.fromkeys(self.trajectories):
             validate_trajectory(traj, self.scenario)
             if traj.T != self.T:
                 raise ValueError("trajectories have inconsistent lengths")
@@ -231,12 +234,33 @@ def _prob_array(
     return out
 
 
+def _trajectory_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One int64 per row of valid int8 trajectory arrays, equal exactly
+    when the trajectories are equal.
+
+    A valid trajectory is fixed by its treated periods and the number of
+    periods survived. Horizons too long for that code to fit in 64 bits
+    fall back to the rank of the row among the distinct rows.
+    """
+    T = x.shape[1]
+    if 2**T * (T + 1) > 2**63:
+        rows = np.hstack([x, y])
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    treated_bits = (x == 1).astype(np.int64) @ (np.int64(1) << np.arange(T))
+    return treated_bits * (T + 1) + (T - y.sum(axis=1, dtype=np.int64))
+
+
 def _trajectories(x: np.ndarray, y: np.ndarray) -> tuple[Trajectory, ...]:
-    """One trajectory per row of int8 arrays with -1 for ``u``."""
-    return tuple(
-        Trajectory(tuple(UNCLEAR if xv < 0 else xv for xv in xr), tuple(yr))
-        for xr, yr in zip(x.tolist(), y.tolist())
+    """One trajectory per row of valid int8 arrays with -1 for ``u``;
+    equal rows share one :class:`Trajectory` object."""
+    _, first, inverse = np.unique(
+        _trajectory_codes(x, y), return_index=True, return_inverse=True
     )
+    distinct = [
+        Trajectory(tuple(UNCLEAR if xv < 0 else xv for xv in xr), tuple(yr))
+        for xr, yr in zip(x[first].tolist(), y[first].tolist())
+    ]
+    return tuple(map(distinct.__getitem__, inverse.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,8 +324,7 @@ def _sample_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-patient int8 arrays ``x`` and ``y`` of shape (n, T); ``x`` is
     -1 where the treatment is unobservable."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_positive_int("n", n)
     T = dgp.T
     ids = np.arange(n, dtype=np.uint64)
     x = np.full((n, T), -1, dtype=np.int8)
@@ -350,12 +373,9 @@ def sample_counts(
     """The distinct trajectories of :func:`sample_cohort` with their
     patient counts, drawn without building per-patient objects."""
     x, y = _sample_arrays(dgp, kind, n, seed)
-    T = x.shape[1]
-    # A valid trajectory is fixed by its treated periods and the number
-    # of periods survived, so this code is distinct per trajectory.
-    treated_bits = (x == 1).astype(np.int64) @ (np.int64(1) << np.arange(T))
-    code = treated_bits * (T + 1) + (T - y.sum(axis=1, dtype=np.int64))
-    _, rows, count = np.unique(code, return_index=True, return_counts=True)
+    _, rows, count = np.unique(
+        _trajectory_codes(x, y), return_index=True, return_counts=True
+    )
     return TrajectoryCounts(
         x[rows], y[rows], count, count.astype(np.float64), kind
     )
@@ -452,65 +472,184 @@ def true_ate(
     return s_treat[-1] - s_control[-1]
 
 
-def cohort_rows(cohort: Cohort):
-    """Header plus one ``id,period,x,y`` row per patient-period."""
-    yield ["id", "period", "x", "y"]
-    for pid, traj in enumerate(cohort.trajectories):
-        for t in range(1, traj.T + 1):
-            yield [pid, t, traj.x[t - 1], traj.y[t - 1]]
+_CSV_COLUMNS: Final = ("id", "period", "x", "y")
+#: Patients per write of :func:`write_cohort_csv`.
+_WRITE_CHUNK: Final[int] = 1 << 14
 
 
-def write_cohort_csv(cohort: Cohort, path: str | Path) -> None:
-    """Write one row per patient-period: ``id,period,x,y``."""
+def _row_tails(traj: Trajectory) -> tuple[str, ...]:
+    """``""`` followed by one ``,t,x,y`` line per period, so that
+    ``str(pid).join(tails)`` is the patient's block of CSV rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    tails = [""]
+    for t, (xv, yv) in enumerate(zip(traj.x, traj.y), start=1):
+        writer.writerow(["", t, xv, yv])
+        tails.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return tuple(tails)
+
+
+def write_cohort_csv(cohort: Cohort, path: str | Path | TextIO) -> None:
+    """Write one row per patient-period: ``id,period,x,y``.
+
+    ``path`` is a file path or an open text stream. Each distinct
+    trajectory's rows are formatted once and shared by every patient who
+    follows it.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        _write_cohort(cohort, path)
+        return
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(cohort_rows(cohort))
+        _write_cohort(cohort, fh)
+
+
+def _write_cohort(cohort: Cohort, fh: TextIO) -> None:
+    trajs = cohort.trajectories
+    distinct = dict(zip(map(id, trajs), trajs))
+    tails = {key: _row_tails(traj) for key, traj in distinct.items()}
+    blocks = map(
+        str.join, map(str, range(len(trajs))), map(tails.__getitem__, map(id, trajs))
+    )
+    fh.write(",".join(_CSV_COLUMNS) + "\n")
+    while chunk := "".join(islice(blocks, _WRITE_CHUNK)):
+        fh.write(chunk)
+
+
+def _x_value(text: str) -> int | str:
+    text = text.strip()
+    return UNCLEAR if text == UNCLEAR else int(text)
+
+
+#: int8 codes of ``x``/``y`` cell values: -1 for ``u``; any value the
+#: scenario invariants never allow is coded 2.
+_VALUE_CODES: Final = {0: 0, 1: 1, UNCLEAR: -1}
+_X_TEXT_CODES: Final = {"0": 0, "1": 1, UNCLEAR: -1}
+_Y_TEXT_CODES: Final = {"0": 0, "1": 1}
+
+
+def _cell_codes(
+    texts: tuple[str, ...], known: Mapping[str, int], parse: Callable
+) -> np.ndarray:
+    """Codes of one column's cells; only cells other than the ``known``
+    spellings (coded 3 on the first pass) are parsed."""
+    codes = np.fromiter(map(known.get, texts, repeat(3)), np.int8, len(texts))
+    for i in np.flatnonzero(codes == 3).tolist():
+        codes[i] = _VALUE_CODES.get(parse(texts[i]), 2)
+    return codes
+
+
+def _first_row_error(
+    path: str | Path, columns: list[int], n_fields: int
+) -> ValueError | None:
+    """The error of the first malformed row in file order: a short row,
+    a field that is not an integer, or a repeated ``(id, period)``."""
+    width = max(columns) + 1
+    seen: set[tuple[int, int]] = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line in filter(None, reader):
+            if len(line) < width:
+                return ValueError(
+                    f"cohort CSV line {reader.line_num} has {len(line)} "
+                    f"fields, expected {n_fields}"
+                )
+            pid_s, period_s, xv, yv = (line[c] for c in columns)
+            try:
+                key = (int(pid_s), int(period_s))
+                _x_value(xv)
+                if key in seen:
+                    return ValueError(
+                        f"cohort CSV has a duplicate row for patient {key[0]}, "
+                        f"period {key[1]}"
+                    )
+                seen.add(key)
+                int(yv)
+            except ValueError as exc:
+                return exc
+    return None
+
+
+def _invalid_rows(x: np.ndarray, y: np.ndarray, kind: ScenarioKind) -> np.ndarray:
+    """Rows of cell codes that :func:`validate_trajectory` rejects."""
+    prev_y = np.zeros_like(y)
+    prev_y[:, 1:] = y[:, :-1]
+    observable = (prev_y == 0) if kind.treatment_first else (y == 0)
+    bad_x = np.where(observable, (x != 0) & (x != 1), x != -1)
+    bad = (y == 2) | ((prev_y == 1) & (y == 0)) | bad_x
+    return bad.any(axis=1)
 
 
 def read_cohort_csv(path: str | Path, scenario: ScenarioKind) -> Cohort:
-    """Read a cohort written by :func:`write_cohort_csv` and validate it."""
-    rows: dict[int, dict[int, tuple]] = {}
+    """Read a cohort written by :func:`write_cohort_csv` and validate it.
+
+    The rows are parsed into columns, sorted by (id, period), reshaped
+    to per-patient arrays and checked in one pass. Errors name the first
+    offending row in file order, or the first offending patient by id.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        required = ("id", "period", "x", "y")
-        if header is None or not set(required).issubset(header):
+        if header is None or not set(_CSV_COLUMNS).issubset(header):
             raise ValueError(
                 f"cohort CSV must have columns id,period,x,y, got {header}"
             )
-        columns = [header.index(name) for name in required]
-        width = max(columns) + 1
-        for line in reader:
-            if not line:
-                continue
-            if len(line) < width:
-                raise ValueError(
-                    f"cohort CSV line {reader.line_num} has {len(line)} "
-                    f"fields, expected {len(header)}"
-                )
-            pid_s, period_s, xv, yv = (line[c] for c in columns)
-            pid = int(pid_s)
-            period = int(period_s)
-            xv = xv.strip()
-            x_val: int | str = UNCLEAR if xv == UNCLEAR else int(xv)
-            periods = rows.setdefault(pid, {})
-            if period in periods:
-                raise ValueError(
-                    f"cohort CSV has a duplicate row for patient {pid}, "
-                    f"period {period}"
-                )
-            periods[period] = (x_val, int(yv))
-    trajectories = []
-    for pid in sorted(rows):
-        periods = rows[pid]
-        T = len(periods)
-        if sorted(periods) != list(range(1, T + 1)):
-            raise ValueError(f"patient {pid} has non-contiguous periods")
-        xs = tuple(periods[t][0] for t in range(1, T + 1))
-        ys = tuple(periods[t][1] for t in range(1, T + 1))
-        trajectories.append(Trajectory(xs, ys))
-    cohort = Cohort(tuple(trajectories), scenario, seed=None)
-    cohort.validate()
-    return cohort
+        columns = [header.index(name) for name in _CSV_COLUMNS]
+        try:
+            cells = list(map(itemgetter(*columns), filter(None, reader)))
+        except IndexError:  # a row too short for the columns
+            raise _first_row_error(path, columns, len(header)) from None
+    if not cells:
+        return Cohort((), scenario, seed=None)
+    n = len(cells)
+    pid_s, period_s, x_s, y_s = zip(*cells)
+    del cells
+    try:
+        pid = np.fromiter(map(int, pid_s), np.int64, n)
+        period = np.fromiter(map(int, period_s), np.int64, n)
+        x = _cell_codes(x_s, _X_TEXT_CODES, _x_value)
+        y = _cell_codes(y_s, _Y_TEXT_CODES, int)
+    except (ValueError, OverflowError):
+        # Rows that pass the row checks can only hold an id or period
+        # beyond 64 bits.
+        raise _first_row_error(path, columns, len(header)) or ValueError(
+            "cohort CSV ids and periods must fit in 64-bit integers"
+        ) from None
+    del pid_s, period_s
+    order = np.lexsort((period, pid))
+    pid, period = pid[order], period[order]
+    same_pid = pid[1:] == pid[:-1]
+    if (same_pid & (period[1:] == period[:-1])).any():
+        raise _first_row_error(path, columns, len(header))
+
+    starts = np.flatnonzero(np.concatenate(([True], ~same_pid)))
+    lengths = np.diff(np.append(starts, n))
+    within = np.arange(n) - np.repeat(starts, lengths)
+    gaps = np.flatnonzero(period != within + 1)
+    if gaps.size:
+        first = starts[np.searchsorted(starts, gaps[0], side="right") - 1]
+        raise ValueError(f"patient {int(pid[first])} has non-contiguous periods")
+
+    T = int(lengths[0])
+    mismatched = np.flatnonzero(lengths != T)
+    n_equal = int(mismatched[0]) if mismatched.size else lengths.size
+    x = x[order][: n_equal * T].reshape(n_equal, T)
+    y = y[order][: n_equal * T].reshape(n_equal, T)
+    invalid = np.flatnonzero(_invalid_rows(x, y, scenario))
+    if invalid.size or n_equal < lengths.size:
+        patient = int(invalid[0]) if invalid.size else n_equal
+        rows = order[starts[patient] : starts[patient] + lengths[patient]].tolist()
+        validate_trajectory(
+            Trajectory(
+                tuple(_x_value(x_s[r]) for r in rows),
+                tuple(int(y_s[r]) for r in rows),
+            ),
+            scenario,
+        )
+        raise ValueError("trajectories have inconsistent lengths")
+    return Cohort(_trajectories(x, y), scenario, seed=None)
 
 
 def dgp_to_json(dgp: DgpTable) -> str:

@@ -8,6 +8,14 @@ failures (:data:`ESTIMATION_ERRORS`) to a distinct exit code.
 from __future__ import annotations
 
 
+def check_positive_int(
+    name: str, value: object, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= 1 (bools excluded)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 

@@ -72,16 +72,11 @@ __all__ = [
 
 
 class WeightConvention(Enum):
-    """Row-weight timing for cloning-censoring-weighting.
-
-    ``LaggedWeights`` and ``CurrentPeriodWeights`` are aliases of the
-    canonical members for callers preferring spelled-out names.
-    """
+    """Row-weight timing for cloning-censoring-weighting; the value is
+    the short code accepted by :meth:`from_code`."""
 
     LAGGED = "lagged"
     CURRENT_PERIOD = "current"
-    LaggedWeights = "lagged"
-    CurrentPeriodWeights = "current"
 
     @classmethod
     def from_code(cls, code: str) -> "WeightConvention":

@@ -32,7 +32,12 @@ import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_REPLICATE, hash_key, uniform_array
 from .dgp import default_dgp, sample_counts, true_ate
-from .errors import AllReplicatesFailed, EmptyStratum, NoAtRiskRows
+from .errors import (
+    AllReplicatesFailed,
+    EmptyStratum,
+    NoAtRiskRows,
+    check_positive_int,
+)
 from .estimators import WeightConvention, ccw_ate, fit_strata, npmle_ate
 from .scenarios import Regime, ScenarioKind
 
@@ -72,13 +77,17 @@ class StudyConfig:
     estimates_path: str | None = None
 
     def __post_init__(self):
-        for name, value in (
-            ("n_replicates", self.n_replicates),
-            ("n_patients", self.n_patients),
-            ("bootstrap_iterations", self.bootstrap_iterations),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_positive_int("n_replicates", self.n_replicates)
+        check_positive_int("n_patients", self.n_patients)
+        check_positive_int("bootstrap_iterations", self.bootstrap_iterations)
+        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
+            raise ValueError(
+                f"master_seed must be an integer, got {self.master_seed!r}"
+            )
+        for name in ("report_path", "estimates_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null, got {value!r}")
         if not self.estimators:
             raise ValueError("estimators must be a nonempty subset of "
                              f"{_KNOWN_ESTIMATORS}")
@@ -123,6 +132,11 @@ class StudyConfig:
             if key in payload:
                 kwargs[key] = payload[key]
         if "estimators" in payload:
+            if not isinstance(payload["estimators"], list):
+                raise ValueError(
+                    "estimators must be a list of estimator names, got "
+                    f"{payload['estimators']!r}"
+                )
             kwargs["estimators"] = tuple(payload["estimators"])
         if "weight_convention" in payload:
             kwargs["weight_convention"] = WeightConvention.from_code(
@@ -379,12 +393,8 @@ def parameter_count(
     first-period block absorbing one parameter against the baseline
     distribution's own degrees of freedom.
     """
-    for name, value in (
-        ("n_control_periods", n_control_periods),
-        ("n_subgroups", n_subgroups),
-        ("n_treat_periods", n_treat_periods),
-        ("c_levels", c_levels),
-    ):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    check_positive_int("n_control_periods", n_control_periods)
+    check_positive_int("n_subgroups", n_subgroups)
+    check_positive_int("n_treat_periods", n_treat_periods)
+    check_positive_int("c_levels", c_levels)
     return c_levels * (n_control_periods + n_subgroups * n_treat_periods) - 1

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import graphs
-from .errors import InvalidHorizon, PeriodOutOfRange, RegimeOutOfRange
+from .errors import (
+    InvalidHorizon,
+    PeriodOutOfRange,
+    RegimeOutOfRange,
+    check_positive_int,
+)
 from .graphs import A, Admg, B, C, NodeKind, X, Y, Yx, build_graph, m_separated
 
 __all__ = [
@@ -54,12 +59,10 @@ class ScenarioKind(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "ScenarioKind":
-        try:
-            return cls(code.strip().upper())
-        except ValueError:
-            raise ValueError(
-                f"unknown scenario {code!r}; expected 'A' or 'B'"
-            ) from None
+        value = code.strip().upper() if isinstance(code, str) else None
+        if value in ("A", "B"):
+            return cls(value)
+        raise ValueError(f"unknown scenario {code!r}; expected 'A' or 'B'")
 
     @property
     def treatment_first(self) -> bool:
@@ -161,6 +164,8 @@ class Regime:
     @classmethod
     def from_descriptor(cls, text: str) -> "Regime":
         """Parse :meth:`describe` output (``always``, ``uniform_grace(2)``, ...)."""
+        if not isinstance(text, str):
+            raise ValueError(f"malformed regime descriptor: {text!r}")
         s = text.strip().lower()
         if "(" in s:
             head, _, rest = s.partition("(")
@@ -178,11 +183,6 @@ class Regime:
         raise ValueError(f"unknown regime strategy: {text!r}")
 
 
-def _check_horizon(T: int) -> None:
-    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-        raise InvalidHorizon(f"horizon must be an integer >= 1, got {T!r}")
-
-
 def build_trial_graph(kind: ScenarioKind, T: int, with_latents: bool = True) -> Admg:
     """Scenario graph over periods 1..T.
 
@@ -191,7 +191,7 @@ def build_trial_graph(kind: ScenarioKind, T: int, with_latents: bool = True) -> 
     edge ``Y_{t-1} -> X_t``. The within-period edge direction and the
     latent structure are controlled by ``kind`` and ``with_latents``.
     """
-    _check_horizon(T)
+    check_positive_int("horizon", T, InvalidHorizon)
     nodes = [X(t) for t in range(1, T + 1)] + [Y(t) for t in range(1, T + 1)]
     directed: list[tuple] = []
     for t in range(1, T):
@@ -234,7 +234,7 @@ def build_amwn(kind: ScenarioKind, T: int, regime: Regime) -> Admg:
     untouched by the intervention are not copied: the factual node
     serves both worlds.
     """
-    _check_horizon(T)
+    check_positive_int("horizon", T, InvalidHorizon)
     base = build_trial_graph(kind, T, with_latents=False)
     treatments = {n for n in base.nodes if n.kind is NodeKind.TREATMENT}
     affected = graphs.descendants(base, treatments)
@@ -271,7 +271,7 @@ def exchangeability_holds(
     Grace-period regimes are mixtures of initiation regimes; the check
     must hold for every component.
     """
-    _check_horizon(T)
+    check_positive_int("horizon", T, InvalidHorizon)
     for p, label in ((i, "i"), (k, "k")):
         if not isinstance(p, int) or p < 1 or p > T:
             raise PeriodOutOfRange(f"{label}={p!r} outside 1..{T}")

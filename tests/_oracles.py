@@ -5,15 +5,25 @@ they check: m-separation by exhaustive simple-path enumeration instead
 of reachability, counterfactual survival by enumerating the
 intervened generating process instead of the closed-form product, and
 the estimators by walking every patient and every clone row instead of
-the distinct-trajectory counts.
+the distinct-trajectory counts, and the cohort CSV boundary by one
+``csv`` row and one trajectory object at a time instead of columns of
+int8 arrays.
 """
 
 from __future__ import annotations
 
+import csv
 import random
 from collections import defaultdict
 
-from ttebench.dgp import UNCLEAR, Cohort, DgpTable, enumerate_distribution
+from ttebench.dgp import (
+    UNCLEAR,
+    Cohort,
+    DgpTable,
+    Trajectory,
+    enumerate_distribution,
+    validate_trajectory,
+)
 from ttebench.errors import EmptyStratum, NoAtRiskRows
 from ttebench.estimators import (
     CloneRow,
@@ -312,3 +322,77 @@ def oracle_ccw(cohort, kind, treat, control, weight_convention, weights=None):
             rows, cohort.T, regime.describe()
         )
     return curves, arms, curves["treat"][-1] - curves["control"][-1]
+
+
+# ------------------------------------------------ per-row cohort CSV boundary
+
+
+def oracle_trajectories(x, y) -> tuple[Trajectory, ...]:
+    """One trajectory object per row of int8 arrays with -1 for ``u``."""
+    return tuple(
+        Trajectory(tuple(UNCLEAR if xv < 0 else xv for xv in xr), tuple(yr))
+        for xr, yr in zip(x.tolist(), y.tolist())
+    )
+
+
+def oracle_cohort_rows(cohort: Cohort):
+    """Header plus one ``id,period,x,y`` row per patient-period."""
+    yield ["id", "period", "x", "y"]
+    for pid, traj in enumerate(cohort.trajectories):
+        for t in range(1, traj.T + 1):
+            yield [pid, t, traj.x[t - 1], traj.y[t - 1]]
+
+
+def oracle_write_cohort_csv(cohort: Cohort, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(oracle_cohort_rows(cohort))
+
+
+def oracle_read_cohort_csv(path, scenario: ScenarioKind) -> Cohort:
+    """Read a cohort CSV row by row into a dict per patient, then
+    validate every trajectory."""
+    rows: dict[int, dict[int, tuple]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        required = ("id", "period", "x", "y")
+        if header is None or not set(required).issubset(header):
+            raise ValueError(
+                f"cohort CSV must have columns id,period,x,y, got {header}"
+            )
+        columns = [header.index(name) for name in required]
+        width = max(columns) + 1
+        for line in reader:
+            if not line:
+                continue
+            if len(line) < width:
+                raise ValueError(
+                    f"cohort CSV line {reader.line_num} has {len(line)} "
+                    f"fields, expected {len(header)}"
+                )
+            pid_s, period_s, xv, yv = (line[c] for c in columns)
+            pid = int(pid_s)
+            period = int(period_s)
+            xv = xv.strip()
+            x_val: int | str = UNCLEAR if xv == UNCLEAR else int(xv)
+            periods = rows.setdefault(pid, {})
+            if period in periods:
+                raise ValueError(
+                    f"cohort CSV has a duplicate row for patient {pid}, "
+                    f"period {period}"
+                )
+            periods[period] = (x_val, int(yv))
+    trajectories = []
+    for pid in sorted(rows):
+        periods = rows[pid]
+        T = len(periods)
+        if sorted(periods) != list(range(1, T + 1)):
+            raise ValueError(f"patient {pid} has non-contiguous periods")
+        xs = tuple(periods[t][0] for t in range(1, T + 1))
+        ys = tuple(periods[t][1] for t in range(1, T + 1))
+        trajectories.append(Trajectory(xs, ys))
+    for traj in trajectories:
+        validate_trajectory(traj, scenario)
+        if traj.T != trajectories[0].T:
+            raise ValueError("trajectories have inconsistent lengths")
+    return Cohort(tuple(trajectories), scenario, seed=None)

@@ -9,9 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ttebench import (
+    Regime,
     StudyConfig,
+    WorkbenchError,
     dgp_to_json,
     default_dgp,
     parse_dot,
@@ -49,6 +53,19 @@ def test_simulate_stdout_and_file_agree(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("scenario", ["A", "B"])
+def test_simulate_stdout_bytes_equal_output_file_bytes(tmp_path, scenario):
+    argv = [sys.executable, "-m", "ttebench", "simulate", "--scenario",
+            scenario, "--n", "300", "--seed", "11"]
+    path = tmp_path / "cohort.csv"
+    to_stdout = subprocess.run(argv, capture_output=True, check=True)
+    to_file = subprocess.run(
+        argv + ["--output", str(path)], capture_output=True, check=True
+    )
+    assert to_stdout.stderr == b"" and to_file.stdout == b""
+    assert to_stdout.stdout == path.read_bytes()
 
 
 def test_simulate_is_seed_deterministic(capsys):
@@ -251,6 +268,82 @@ def test_bias_study_config_errors_are_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bias-study", "--config", str(config_path))
     assert code == 1
     assert err.startswith("error: ValueError: unknown config keys")
+
+
+def _is_positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_valid_regime(value):
+    try:
+        Regime.from_descriptor(value).validate(3)
+    except (ValueError, WorkbenchError):
+        return False
+    return True
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: For each config key, JSON values that are not a valid setting.
+_MALFORMED = {
+    "scenario": _json_values.filter(
+        lambda v: not (isinstance(v, str) and v.strip().upper() in ("A", "B"))
+    ),
+    "n_replicates": _json_values.filter(lambda v: not _is_positive_int(v)),
+    "n_patients": _json_values.filter(lambda v: not _is_positive_int(v)),
+    "bootstrap_iterations": _json_values.filter(
+        lambda v: not _is_positive_int(v)
+    ),
+    "master_seed": _json_values.filter(
+        lambda v: not isinstance(v, int) or isinstance(v, bool)
+    ),
+    "estimators": _json_values.filter(
+        lambda v: not (
+            isinstance(v, list)
+            and v
+            and all(e in ("npmle", "ccw") for e in v)
+            and len(v) == len(set(v))
+        )
+    ),
+    "weight_convention": _json_values.filter(
+        lambda v: v not in ("lagged", "current")
+    ),
+    "treat": _json_values.filter(lambda v: not _is_valid_regime(v)),
+    "control": _json_values.filter(lambda v: not _is_valid_regime(v)),
+    "report_path": _json_values.filter(
+        lambda v: v is not None and not isinstance(v, str)
+    ),
+    "estimates_path": _json_values.filter(
+        lambda v: v is not None and not isinstance(v, str)
+    ),
+}
+
+
+@given(st.sampled_from(sorted(_MALFORMED)).flatmap(
+    lambda key: st.tuples(st.just(key), _MALFORMED[key])
+))
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_bias_study_malformed_config_values_are_exit_1(tmp_path, capsys, item):
+    key, value = item
+    config = {"scenario": "A", "n_replicates": 2, "n_patients": 20,
+              "bootstrap_iterations": 5, key: value}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "bias-study", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_bias_study_total_failure_is_exit_2(tmp_path, capsys):

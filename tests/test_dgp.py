@@ -275,6 +275,11 @@ def test_read_cohort_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="line 2 has 3 fields"):
         read_cohort_csv(short, SCEN_A)
 
+    huge_id = tmp_path / "huge_id.csv"
+    huge_id.write_text(f"id,period,x,y\n{2**70},1,0,0\n")
+    with pytest.raises(ValueError, match="64-bit"):
+        read_cohort_csv(huge_id, SCEN_A)
+
 
 def test_dgp_json_round_trip():
     for kind in (SCEN_A, SCEN_B):

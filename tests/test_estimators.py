@@ -457,7 +457,7 @@ def test_weight_convention_codes():
 
 
 def test_weight_convention_spelled_out_aliases():
-    assert WeightConvention.LaggedWeights is LAGGED
-    assert WeightConvention.CurrentPeriodWeights is CURRENT
-    # Aliases do not add extra members.
+    # The spelled-out alias members are gone; the two canonical ones remain.
     assert list(WeightConvention) == [LAGGED, CURRENT]
+    assert not hasattr(WeightConvention, "LaggedWeights")
+    assert not hasattr(WeightConvention, "CurrentPeriodWeights")

@@ -51,6 +51,10 @@ def test_config_validation():
         small_config(estimators=("npmle", "npmle"))
     with pytest.raises(ValueError, match="nonempty"):
         small_config(estimators=())
+    with pytest.raises(ValueError, match="master_seed must be an integer"):
+        small_config(master_seed="x")
+    with pytest.raises(ValueError, match="report_path must be a string"):
+        small_config(report_path=5)
 
 
 def test_config_json_round_trip():
