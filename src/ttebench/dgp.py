@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice, product, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Final, Mapping, TextIO
+from typing import Callable, Final, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -475,20 +475,17 @@ def true_ate(
 _CSV_COLUMNS: Final = ("id", "period", "x", "y")
 #: Patients per write of :func:`write_cohort_csv`.
 _WRITE_CHUNK: Final[int] = 1 << 14
+#: Rows per parsing step of :func:`read_cohort_csv`.
+_READ_CHUNK: Final[int] = 1 << 14
 
 
 def _row_tails(traj: Trajectory) -> tuple[str, ...]:
     """``""`` followed by one ``,t,x,y`` line per period, so that
-    ``str(pid).join(tails)`` is the patient's block of CSV rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    tails = [""]
-    for t, (xv, yv) in enumerate(zip(traj.x, traj.y), start=1):
-        writer.writerow(["", t, xv, yv])
-        tails.append(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
-    return tuple(tails)
+    ``str(pid).join(tails)`` is the patient's block of CSV rows. Cells
+    are 0, 1 or ``u``, which the CSV dialect never quotes."""
+    return ("",) + tuple(
+        f",{t},{xv},{yv}\n" for t, (xv, yv) in enumerate(zip(traj.x, traj.y), 1)
+    )
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path | TextIO) -> None:
@@ -506,15 +503,16 @@ def write_cohort_csv(cohort: Cohort, path: str | Path | TextIO) -> None:
 
 
 def _write_cohort(cohort: Cohort, fh: TextIO) -> None:
+    # Tails are kept for one chunk at a time, so memory stays bounded
+    # when few patients share a trajectory.
     trajs = cohort.trajectories
-    distinct = dict(zip(map(id, trajs), trajs))
-    tails = {key: _row_tails(traj) for key, traj in distinct.items()}
-    blocks = map(
-        str.join, map(str, range(len(trajs))), map(tails.__getitem__, map(id, trajs))
-    )
     fh.write(",".join(_CSV_COLUMNS) + "\n")
-    while chunk := "".join(islice(blocks, _WRITE_CHUNK)):
-        fh.write(chunk)
+    for start in range(0, len(trajs), _WRITE_CHUNK):
+        chunk = trajs[start : start + _WRITE_CHUNK]
+        distinct = dict(zip(map(id, chunk), chunk))
+        tails = {key: _row_tails(traj) for key, traj in distinct.items()}
+        pids = map(str, range(start, start + len(chunk)))
+        fh.write("".join(map(str.join, pids, map(tails.__getitem__, map(id, chunk)))))
 
 
 def _x_value(text: str) -> int | str:
@@ -540,35 +538,74 @@ def _cell_codes(
     return codes
 
 
+def _text_lines(data: bytes) -> TextIO:
+    """The lines of a UTF-8 file's bytes, as :func:`open` with
+    ``newline=""`` gives them to :func:`csv.reader`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def _parse_columns(
+    rows: Iterator[tuple[str, str, str, str]],
+) -> tuple[np.ndarray, ...] | None:
+    """Ids, periods and ``x``/``y`` cell codes of ``(id, period, x, y)``
+    cell rows, parsed a chunk at a time so that the row text is not all
+    held at once; ``None`` when there are no rows."""
+    parts = []
+    while chunk := list(islice(rows, _READ_CHUNK)):
+        pid_s, period_s, x_s, y_s = zip(*chunk)
+        parts.append((
+            np.fromiter(map(int, pid_s), np.int64, len(chunk)),
+            np.fromiter(map(int, period_s), np.int64, len(chunk)),
+            _cell_codes(x_s, _X_TEXT_CODES, _x_value),
+            _cell_codes(y_s, _Y_TEXT_CODES, int),
+        ))
+    return tuple(map(np.concatenate, zip(*parts))) if parts else None
+
+
+def _raw_trajectory(data: bytes, columns: list[int], rows: list[int]) -> Trajectory:
+    """The trajectory whose ``x``/``y`` cells are in the given data rows
+    (0-based, in file order, blank lines skipped), cells parsed as
+    written and taken in the order of ``rows``."""
+    cells = dict.fromkeys(rows)
+    reader = csv.reader(_text_lines(data))
+    next(reader)
+    for i, line in enumerate(filter(None, reader)):
+        if i in cells:
+            cells[i] = (line[columns[2]], line[columns[3]])
+    return Trajectory(
+        tuple(_x_value(xv) for xv, _ in cells.values()),
+        tuple(int(yv) for _, yv in cells.values()),
+    )
+
+
 def _first_row_error(
-    path: str | Path, columns: list[int], n_fields: int
+    data: bytes, columns: list[int], n_fields: int
 ) -> ValueError | None:
     """The error of the first malformed row in file order: a short row,
     a field that is not an integer, or a repeated ``(id, period)``."""
     width = max(columns) + 1
     seen: set[tuple[int, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line in filter(None, reader):
-            if len(line) < width:
+    reader = csv.reader(_text_lines(data))
+    next(reader)
+    for line in filter(None, reader):
+        if len(line) < width:
+            return ValueError(
+                f"cohort CSV line {reader.line_num} has {len(line)} "
+                f"fields, expected {n_fields}"
+            )
+        pid_s, period_s, xv, yv = (line[c] for c in columns)
+        try:
+            key = (int(pid_s), int(period_s))
+            _x_value(xv)
+            if key in seen:
                 return ValueError(
-                    f"cohort CSV line {reader.line_num} has {len(line)} "
-                    f"fields, expected {n_fields}"
+                    f"cohort CSV has a duplicate row for patient {key[0]}, "
+                    f"period {key[1]}"
                 )
-            pid_s, period_s, xv, yv = (line[c] for c in columns)
-            try:
-                key = (int(pid_s), int(period_s))
-                _x_value(xv)
-                if key in seen:
-                    return ValueError(
-                        f"cohort CSV has a duplicate row for patient {key[0]}, "
-                        f"period {key[1]}"
-                    )
-                seen.add(key)
-                int(yv)
-            except ValueError as exc:
-                return exc
+            seen.add(key)
+            int(yv)
+        except ValueError as exc:
+            return exc
     return None
 
 
@@ -589,40 +626,34 @@ def read_cohort_csv(path: str | Path, scenario: ScenarioKind) -> Cohort:
     to per-patient arrays and checked in one pass. Errors name the first
     offending row in file order, or the first offending patient by id.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(_CSV_COLUMNS).issubset(header):
-            raise ValueError(
-                f"cohort CSV must have columns id,period,x,y, got {header}"
-            )
-        columns = [header.index(name) for name in _CSV_COLUMNS]
-        try:
-            cells = list(map(itemgetter(*columns), filter(None, reader)))
-        except IndexError:  # a row too short for the columns
-            raise _first_row_error(path, columns, len(header)) from None
-    if not cells:
-        return Cohort((), scenario, seed=None)
-    n = len(cells)
-    pid_s, period_s, x_s, y_s = zip(*cells)
-    del cells
+    # The file is read once, so that the error pass over the rows also
+    # works on a pipe.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    reader = csv.reader(_text_lines(data))
+    header = next(reader, None)
+    if header is None or not set(_CSV_COLUMNS).issubset(header):
+        raise ValueError(
+            f"cohort CSV must have columns id,period,x,y, got {header}"
+        )
+    columns = [header.index(name) for name in _CSV_COLUMNS]
     try:
-        pid = np.fromiter(map(int, pid_s), np.int64, n)
-        period = np.fromiter(map(int, period_s), np.int64, n)
-        x = _cell_codes(x_s, _X_TEXT_CODES, _x_value)
-        y = _cell_codes(y_s, _Y_TEXT_CODES, int)
-    except (ValueError, OverflowError):
-        # Rows that pass the row checks can only hold an id or period
-        # beyond 64 bits.
-        raise _first_row_error(path, columns, len(header)) or ValueError(
+        parsed = _parse_columns(map(itemgetter(*columns), filter(None, reader)))
+    except (IndexError, ValueError, OverflowError):
+        # A short row raises IndexError. Rows that pass the row checks
+        # can only hold an id or period beyond 64 bits.
+        raise _first_row_error(data, columns, len(header)) or ValueError(
             "cohort CSV ids and periods must fit in 64-bit integers"
         ) from None
-    del pid_s, period_s
+    if parsed is None:
+        return Cohort((), scenario, seed=None)
+    pid, period, x, y = parsed
+    n = pid.size
     order = np.lexsort((period, pid))
     pid, period = pid[order], period[order]
     same_pid = pid[1:] == pid[:-1]
     if (same_pid & (period[1:] == period[:-1])).any():
-        raise _first_row_error(path, columns, len(header))
+        raise _first_row_error(data, columns, len(header))
 
     starts = np.flatnonzero(np.concatenate(([True], ~same_pid)))
     lengths = np.diff(np.append(starts, n))
@@ -641,13 +672,7 @@ def read_cohort_csv(path: str | Path, scenario: ScenarioKind) -> Cohort:
     if invalid.size or n_equal < lengths.size:
         patient = int(invalid[0]) if invalid.size else n_equal
         rows = order[starts[patient] : starts[patient] + lengths[patient]].tolist()
-        validate_trajectory(
-            Trajectory(
-                tuple(_x_value(x_s[r]) for r in rows),
-                tuple(int(y_s[r]) for r in rows),
-            ),
-            scenario,
-        )
+        validate_trajectory(_raw_trajectory(data, columns, rows), scenario)
         raise ValueError("trajectories have inconsistent lengths")
     return Cohort(_trajectories(x, y), scenario, seed=None)
 

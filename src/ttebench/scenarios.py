@@ -59,10 +59,13 @@ class ScenarioKind(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "ScenarioKind":
-        value = code.strip().upper() if isinstance(code, str) else None
-        if value in ("A", "B"):
-            return cls(value)
-        raise ValueError(f"unknown scenario {code!r}; expected 'A' or 'B'")
+        message = f"unknown scenario {code!r}; expected 'A' or 'B'"
+        if not isinstance(code, str):
+            raise ValueError(message)
+        try:
+            return cls(code.strip().upper())
+        except ValueError:
+            raise ValueError(message) from None
 
     @property
     def treatment_first(self) -> bool:

@@ -201,6 +201,48 @@ def test_estimate_duplicate_csv_row_is_exit_1(tmp_path, capsys):
     ]
 
 
+@pytest.mark.skipif(
+    not os.path.exists("/dev/stdin"), reason="needs /dev/stdin"
+)
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (None, None),
+        (lambda lines: lines + [lines[4]],
+         "cohort CSV has a duplicate row for patient 1, period 1"),
+        (lambda lines: lines[:7] + ["2,1,0"] + lines[8:],
+         "cohort CSV line 8 has 3 fields, expected 4"),
+        (lambda lines: lines[:3] + ["0,3,z,0"] + lines[4:],
+         "invalid literal for int() with base 10: 'z'"),
+    ],
+    ids=["valid", "duplicate-row", "short-row", "bad-x"],
+)
+def test_estimate_reads_cohort_from_a_pipe(tmp_path, capsys, corrupt, message):
+    # A pipe can be read only once, so every check, error messages
+    # included, must come from a single read of the rows.
+    cohort = make_cohort_csv(tmp_path, capsys, n=20)
+    lines = cohort.read_text().splitlines()
+    if corrupt is not None:
+        lines = corrupt(lines)
+    data = "\n".join(lines) + "\n"
+    cohort.write_text(data)
+    argv = ["estimate", "--scenario", "B", "--cohort"]
+    piped = subprocess.run(
+        [sys.executable, "-m", "ttebench", *argv, "/dev/stdin"],
+        input=data.encode(), capture_output=True,
+    )
+    assert b"Traceback" not in piped.stderr
+    if message is None:
+        code, out, _ = run_cli(capsys, *argv, str(cohort))
+        assert code == 0
+        assert (piped.returncode, piped.stdout.decode()) == (0, out)
+    else:
+        assert piped.returncode == 1 and piped.stdout == b""
+        assert piped.stderr.decode().splitlines() == [
+            f"error: ValueError: {message}"
+        ]
+
+
 # --------------------------------------------------------------- bias-study
 
 

@@ -8,6 +8,7 @@ corrupted file, and the sampler the same trajectories.
 
 import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,10 @@ cohorts = st.builds(
     st.integers(min_value=0, max_value=2**32),
 )
 
+#: Rows (reader) or patients (writer) per step, so that files span
+#: several steps.
+chunk_sizes = st.sampled_from([1, 5, 64, 1 << 14])
+
 
 def read_outcome(reader, path, kind):
     try:
@@ -65,15 +70,16 @@ def write_rows(path, header, rows):
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
 
 
-@given(cohorts)
+@given(cohorts, chunk_sizes)
 @settings(max_examples=60, deadline=None)
-def test_writer_bytes_match_the_oracle(tmp_path_factory, cohort):
+def test_writer_bytes_match_the_oracle(tmp_path_factory, cohort, chunk):
     tmp = tmp_path_factory.mktemp("write")
-    write_cohort_csv(cohort, tmp / "new.csv")
+    stream = io.StringIO(newline="")
+    with mock.patch.object(dgp_mod, "_WRITE_CHUNK", chunk):
+        write_cohort_csv(cohort, tmp / "new.csv")
+        write_cohort_csv(cohort, stream)
     oracle_write_cohort_csv(cohort, tmp / "oracle.csv")
     assert (tmp / "new.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
-    stream = io.StringIO(newline="")
-    write_cohort_csv(cohort, stream)
     assert stream.getvalue().encode() == (tmp / "oracle.csv").read_bytes()
 
 
@@ -92,10 +98,10 @@ def test_sampler_matches_per_row_trajectories(kind, n, seed):
     assert len({id(t) for t in got}) == len(set(expected))
 
 
-@given(cohorts, st.randoms(use_true_random=False), st.data())
+@given(cohorts, st.randoms(use_true_random=False), st.data(), chunk_sizes)
 @settings(max_examples=80, deadline=None)
 def test_reader_matches_the_oracle_on_rewritten_files(
-    tmp_path_factory, cohort, rng, data
+    tmp_path_factory, cohort, rng, data, chunk
 ):
     """Shuffled rows, arbitrary ids, extra and reordered columns and
     padded ``x`` cells read the same as through the oracle."""
@@ -114,7 +120,8 @@ def test_reader_matches_the_oracle_on_rewritten_files(
     rows = [[r[c] for c in order] for r in rows]
     path = tmp_path_factory.mktemp("read") / "cohort.csv"
     write_rows(path, header, rows)
-    outcome = assert_readers_agree(path, cohort.scenario)
+    with mock.patch.object(dgp_mod, "_READ_CHUNK", chunk):
+        outcome = assert_readers_agree(path, cohort.scenario)
     assert outcome[0] == "ok"
     assert sorted(outcome[1], key=repr) == sorted(cohort.trajectories, key=repr)
 
@@ -162,17 +169,19 @@ def corrupt(rows, how, rng):
     cohorts,
     st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
+    chunk_sizes,
 )
 @settings(max_examples=150, deadline=None)
 def test_corrupted_files_fail_like_the_oracle(
-    tmp_path_factory, cohort, corruptions, rng
+    tmp_path_factory, cohort, corruptions, rng, chunk
 ):
     rows = data_rows(cohort)
     for how in corruptions:
         rows = corrupt(rows, how, rng)
     path = tmp_path_factory.mktemp("corrupt") / "cohort.csv"
     write_rows(path, ["id", "period", "x", "y"], rows)
-    outcome = assert_readers_agree(path, cohort.scenario)
+    with mock.patch.object(dgp_mod, "_READ_CHUNK", chunk):
+        outcome = assert_readers_agree(path, cohort.scenario)
     if corruptions == ["duplicate"]:
         assert outcome[0] == "raised" and "duplicate row" in outcome[2]
     if corruptions == ["short row"]:
