@@ -43,7 +43,7 @@ def section(title):
 
 
 section("A four-patient worked example (scenario B, one period)")
-cohort = Cohort(
+cohort = Cohort.from_trajectories(
     (
         Trajectory((1,), (0,)),
         Trajectory((1,), (1,)),

@@ -80,7 +80,6 @@ from .dgp import (
     enumerate_distribution,
     read_cohort_csv,
     sample_cohort,
-    sample_counts,
     true_ate,
     validate_trajectory,
     write_cohort_csv,
@@ -179,7 +178,6 @@ __all__ = [
     "rule3_premise_holds",
     "run_bias_study",
     "sample_cohort",
-    "sample_counts",
     "to_dot",
     "true_ate",
     "validate_trajectory",

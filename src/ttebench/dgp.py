@@ -25,12 +25,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import islice, product, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Final, Iterator, Mapping, TextIO
+from typing import Callable, Final, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "TrajectoryCounts",
     "default_dgp",
     "sample_cohort",
-    "sample_counts",
     "enumerate_distribution",
     "counterfactual_survival",
     "true_ate",
@@ -89,10 +89,22 @@ class DgpTable:
         check_positive_int("T", self.T)
         for label, table in (("hazard", self.hazard), ("propensity", self.propensity)):
             for (k, hist), p in table.items():
+                if type(k) is not int:
+                    raise ValueError(
+                        f"{label}[{(k, hist)!r}]: period {k!r} must be an integer"
+                    )
                 if k < 1 or k > self.T:
                     raise ValueError(f"{label} period {k} outside 1..{self.T}")
-                if not all(v in (0, 1) for v in hist):
+                if not all(type(v) is int and v in (0, 1) for v in hist):
                     raise ValueError(f"{label} history {hist!r} must be 0/1")
+                if not (
+                    isinstance(p, (int, float)) and not isinstance(p, bool)
+                    and math.isfinite(p)
+                ):
+                    raise ValueError(
+                        f"{label}[{(k, hist)!r}] = {p!r} must be a finite "
+                        "real number"
+                    )
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(
                         f"{label}[{(k, hist)}] = {p} outside [0, 1]"
@@ -188,33 +200,68 @@ def validate_trajectory(traj: Trajectory, kind: ScenarioKind) -> None:
         prev_y = yv
 
 
-@dataclass(frozen=True)
+#: int8 codes of the trajectory cell values; -1 stands for ``u``.
+_X_CODES: Final = {0: 0, 1: 1, UNCLEAR: -1}
+_Y_CODES: Final = {0: 0, 1: 1}
+
+
+@dataclass(frozen=True, eq=False)
 class Cohort:
     """A sample of trajectories from one scenario.
 
+    ``x`` and ``y`` are per-patient int8 arrays of shape (n, T): the
+    treatment (0, 1, or -1 where unobservable, shown as ``u``) and the
+    vital status (0 or 1) of each patient in each period; build them
+    from :class:`Trajectory` objects with :meth:`from_trajectories`.
     ``seed`` is the sampling seed, or ``None`` for cohorts loaded from
     files or built directly.
     """
 
-    trajectories: tuple[Trajectory, ...]
+    x: np.ndarray
+    y: np.ndarray
     scenario: ScenarioKind
     seed: int | None = None
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return self.x.shape[0]
 
     @property
     def T(self) -> int:
-        return self.trajectories[0].T if self.trajectories else 0
+        return self.x.shape[1]
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """One trajectory per patient; equal ones share one object."""
+        return _trajectories(self.x, self.y)
+
+    @classmethod
+    def from_trajectories(
+        cls, trajectories: Iterable[Trajectory], scenario: ScenarioKind,
+        seed: int | None = None,
+    ) -> "Cohort":
+        """The cohort of trajectories of one length, with treatments 0, 1
+        or ``u`` and vital statuses 0 or 1."""
+        trajectories = tuple(trajectories)
+        shape = (len(trajectories), trajectories[0].T if trajectories else 0)
+        if any(len(t.x) != shape[1] or t.T != shape[1] for t in trajectories):
+            raise ValueError("trajectories have inconsistent lengths")
+        try:
+            x = np.array([[_X_CODES[v] for v in t.x] for t in trajectories], np.int8)
+            y = np.array([[_Y_CODES[v] for v in t.y] for t in trajectories], np.int8)
+        except KeyError as exc:
+            raise ValueError(
+                f"trajectory cell {exc.args[0]!r}: x must be 0, 1 or "
+                f"{UNCLEAR!r}, y 0 or 1"
+            ) from None
+        return cls(x.reshape(shape), y.reshape(shape), scenario, seed)
 
     def validate(self) -> None:
-        # Equal trajectories fail alike, so the first failing distinct
-        # trajectory is the first failing patient.
-        for traj in dict.fromkeys(self.trajectories):
-            validate_trajectory(traj, self.scenario)
-            if traj.T != self.T:
-                raise ValueError("trajectories have inconsistent lengths")
+        """Raise ``ValueError`` with :func:`validate_trajectory`'s message
+        for the first patient who breaks the scenario invariants."""
+        invalid = np.flatnonzero(_invalid_rows(self.x, self.y, self.scenario))
+        if invalid.size:
+            validate_trajectory(self.trajectories[invalid[0]], self.scenario)
 
 
 def _prob_array(
@@ -234,28 +281,31 @@ def _prob_array(
     return out
 
 
-def _trajectory_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One int64 per row of valid int8 trajectory arrays, equal exactly
-    when the trajectories are equal.
-
-    A valid trajectory is fixed by its treated periods and the number of
-    periods survived. Horizons too long for that code to fit in 64 bits
-    fall back to the rank of the row among the distinct rows.
-    """
+def _distinct_rows(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first row of each distinct row of int8 trajectory arrays with
+    cells coded as in :class:`Cohort`, the distinct row of each row, and
+    the rows per distinct row. Distinct rows are ordered by an int64 code
+    (treated periods, then periods survived, then periods with ``u``), or
+    as opaque bytes when the code would overflow."""
     T = x.shape[1]
-    if 2**T * (T + 1) > 2**63:
-        rows = np.hstack([x, y])
-        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
-    treated_bits = (x == 1).astype(np.int64) @ (np.int64(1) << np.arange(T))
-    return treated_bits * (T + 1) + (T - y.sum(axis=1, dtype=np.int64))
+    if 3 * T > 63:
+        codes = np.hstack([x, y]).view(np.dtype((np.void, 2 * T))).ravel()
+    else:
+        bits = np.int64(1) << np.arange(T)
+        treated, alive, unclear = (x == 1) @ bits, (y == 0) @ bits, (x == -1) @ bits
+        codes = (treated << 2 * T) | (alive << T) | unclear
+    _, first, inverse, count = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, count
 
 
 def _trajectories(x: np.ndarray, y: np.ndarray) -> tuple[Trajectory, ...]:
-    """One trajectory per row of valid int8 arrays with -1 for ``u``;
-    equal rows share one :class:`Trajectory` object."""
-    _, first, inverse = np.unique(
-        _trajectory_codes(x, y), return_index=True, return_inverse=True
-    )
+    """One trajectory per row of int8 arrays with -1 for ``u``; equal
+    rows share one :class:`Trajectory` object."""
+    first, inverse, _ = _distinct_rows(x, y)
     distinct = [
         Trajectory(tuple(UNCLEAR if xv < 0 else xv for xv in xr), tuple(yr))
         for xr, yr in zip(x[first].tolist(), y[first].tolist())
@@ -300,23 +350,12 @@ class TrajectoryCounts:
         cls, cohort: Cohort, weights: np.ndarray | None = None
     ) -> "TrajectoryCounts":
         """Collapse a cohort; ``weights`` holds one weight per patient."""
-        index: dict[tuple, int] = {}
-        inverse = [
-            index.setdefault((traj.x, traj.y), len(index))
-            for traj in cohort.trajectories
-        ]
-        shape = (len(index), cohort.T)
-        x = np.array(
-            [[-1 if xv == UNCLEAR else xv for xv in xs] for xs, _ in index],
-            dtype=np.int8,
-        ).reshape(shape)
-        y = np.array([ys for _, ys in index], dtype=np.int8).reshape(shape)
-        count = np.bincount(inverse, minlength=len(index))
+        first, inverse, count = _distinct_rows(cohort.x, cohort.y)
         if weights is None:
             weight = count.astype(np.float64)
         else:
-            weight = np.bincount(inverse, weights=weights, minlength=len(index))
-        return cls(x, y, count, weight, cohort.scenario)
+            weight = np.bincount(inverse, weights=weights, minlength=first.size)
+        return cls(cohort.x[first], cohort.y[first], count, weight, cohort.scenario)
 
 
 def _sample_arrays(
@@ -364,21 +403,7 @@ def sample_cohort(dgp: DgpTable, kind: ScenarioKind, n: int, seed: int) -> Cohor
     does not depend on n.
     """
     x, y = _sample_arrays(dgp, kind, n, seed)
-    return Cohort(trajectories=_trajectories(x, y), scenario=kind, seed=seed)
-
-
-def sample_counts(
-    dgp: DgpTable, kind: ScenarioKind, n: int, seed: int
-) -> TrajectoryCounts:
-    """The distinct trajectories of :func:`sample_cohort` with their
-    patient counts, drawn without building per-patient objects."""
-    x, y = _sample_arrays(dgp, kind, n, seed)
-    _, rows, count = np.unique(
-        _trajectory_codes(x, y), return_index=True, return_counts=True
-    )
-    return TrajectoryCounts(
-        x[rows], y[rows], count, count.astype(np.float64), kind
-    )
+    return Cohort(x, y, kind, seed)
 
 
 def enumerate_distribution(
@@ -479,12 +504,14 @@ _WRITE_CHUNK: Final[int] = 1 << 14
 _READ_CHUNK: Final[int] = 1 << 14
 
 
-def _row_tails(traj: Trajectory) -> tuple[str, ...]:
-    """``""`` followed by one ``,t,x,y`` line per period, so that
-    ``str(pid).join(tails)`` is the patient's block of CSV rows. Cells
-    are 0, 1 or ``u``, which the CSV dialect never quotes."""
+def _row_tails(xs: list[int], ys: list[int]) -> tuple[str, ...]:
+    """``""`` followed by one ``,t,x,y`` line per period of a row of
+    int8 codes, so that ``str(pid).join(tails)`` is the patient's block
+    of CSV rows. Cells are integers or ``u``, which the CSV dialect
+    never quotes."""
     return ("",) + tuple(
-        f",{t},{xv},{yv}\n" for t, (xv, yv) in enumerate(zip(traj.x, traj.y), 1)
+        f",{t},{UNCLEAR if xv < 0 else xv},{yv}\n"
+        for t, (xv, yv) in enumerate(zip(xs, ys), 1)
     )
 
 
@@ -505,14 +532,14 @@ def write_cohort_csv(cohort: Cohort, path: str | Path | TextIO) -> None:
 def _write_cohort(cohort: Cohort, fh: TextIO) -> None:
     # Tails are kept for one chunk at a time, so memory stays bounded
     # when few patients share a trajectory.
-    trajs = cohort.trajectories
     fh.write(",".join(_CSV_COLUMNS) + "\n")
-    for start in range(0, len(trajs), _WRITE_CHUNK):
-        chunk = trajs[start : start + _WRITE_CHUNK]
-        distinct = dict(zip(map(id, chunk), chunk))
-        tails = {key: _row_tails(traj) for key, traj in distinct.items()}
-        pids = map(str, range(start, start + len(chunk)))
-        fh.write("".join(map(str.join, pids, map(tails.__getitem__, map(id, chunk)))))
+    for start in range(0, cohort.n, _WRITE_CHUNK):
+        x = cohort.x[start : start + _WRITE_CHUNK]
+        y = cohort.y[start : start + _WRITE_CHUNK]
+        first, inverse, _ = _distinct_rows(x, y)
+        tails = list(map(_row_tails, x[first].tolist(), y[first].tolist()))
+        pids = map(str, range(start, start + inverse.size))
+        fh.write("".join(map(str.join, pids, map(tails.__getitem__, inverse.tolist()))))
 
 
 def _x_value(text: str) -> int | str:
@@ -520,9 +547,7 @@ def _x_value(text: str) -> int | str:
     return UNCLEAR if text == UNCLEAR else int(text)
 
 
-#: int8 codes of ``x``/``y`` cell values: -1 for ``u``; any value the
-#: scenario invariants never allow is coded 2.
-_VALUE_CODES: Final = {0: 0, 1: 1, UNCLEAR: -1}
+#: int8 codes of ``x``/``y`` cell spellings; any other value is coded 2.
 _X_TEXT_CODES: Final = {"0": 0, "1": 1, UNCLEAR: -1}
 _Y_TEXT_CODES: Final = {"0": 0, "1": 1}
 
@@ -534,7 +559,7 @@ def _cell_codes(
     spellings (coded 3 on the first pass) are parsed."""
     codes = np.fromiter(map(known.get, texts, repeat(3)), np.int8, len(texts))
     for i in np.flatnonzero(codes == 3).tolist():
-        codes[i] = _VALUE_CODES.get(parse(texts[i]), 2)
+        codes[i] = _X_CODES.get(parse(texts[i]), 2)
     return codes
 
 
@@ -615,7 +640,7 @@ def _invalid_rows(x: np.ndarray, y: np.ndarray, kind: ScenarioKind) -> np.ndarra
     prev_y[:, 1:] = y[:, :-1]
     observable = (prev_y == 0) if kind.treatment_first else (y == 0)
     bad_x = np.where(observable, (x != 0) & (x != 1), x != -1)
-    bad = (y == 2) | ((prev_y == 1) & (y == 0)) | bad_x
+    bad = ((y != 0) & (y != 1)) | ((prev_y == 1) & (y == 0)) | bad_x
     return bad.any(axis=1)
 
 
@@ -646,7 +671,7 @@ def read_cohort_csv(path: str | Path, scenario: ScenarioKind) -> Cohort:
             "cohort CSV ids and periods must fit in 64-bit integers"
         ) from None
     if parsed is None:
-        return Cohort((), scenario, seed=None)
+        return Cohort.from_trajectories((), scenario)
     pid, period, x, y = parsed
     n = pid.size
     order = np.lexsort((period, pid))
@@ -674,7 +699,7 @@ def read_cohort_csv(path: str | Path, scenario: ScenarioKind) -> Cohort:
         rows = order[starts[patient] : starts[patient] + lengths[patient]].tolist()
         validate_trajectory(_raw_trajectory(data, columns, rows), scenario)
         raise ValueError("trajectories have inconsistent lengths")
-    return Cohort(_trajectories(x, y), scenario, seed=None)
+    return Cohort(x, y, scenario, seed=None)
 
 
 def dgp_to_json(dgp: DgpTable) -> str:

@@ -53,6 +53,7 @@ import json
 import numpy as np
 
 from .dgp import Cohort, DgpTable, TrajectoryCounts, enumerate_distribution
+from .dgp import _distinct_rows
 from .errors import EmptyStratum, NoAtRiskRows
 from .scenarios import Regime, ScenarioKind
 
@@ -332,9 +333,7 @@ def npmle_ate(
             share = sum(w[i] for i in idx) / total
             if share == 0.0:
                 continue
-            sub = Cohort(
-                tuple(cohort.trajectories[i] for i in idx), cohort.scenario
-            )
+            sub = Cohort(cohort.x[idx], cohort.y[idx], cohort.scenario)
             sub_strata = fit_strata(sub, kind, weights=[w[i] for i in idx])
             for k, v in enumerate(_plugin_curve(sub_strata, kind, treat, T)):
                 curve_t[k] += share * v
@@ -460,11 +459,11 @@ def clone_rows(
     if strata is None:
         strata = fit_strata(counts, kind)
     periods = _clone_periods(counts, strata, path, weight_convention)
-    row_of = {traj: i for i, traj in enumerate(counts.trajectories)}
+    _, row_of, _ = _distinct_rows(cohort.x, cohort.y)
     pw_list = [1.0] * cohort.n if w is None else w.tolist()
     rows: list[CloneRow] = []
-    for pid, (traj, pw) in enumerate(zip(cohort.trajectories, pw_list)):
-        at_risk = periods[row_of[traj]]
+    for pid, (row, pw) in enumerate(zip(row_of.tolist(), pw_list)):
+        at_risk = periods[row]
         for t in range(1, cohort.T + 1):
             if t <= len(at_risk):
                 event, censored_now, weight = at_risk[t - 1]
@@ -570,7 +569,7 @@ def ccw_asymptotic(
     proportion is replaced by its population value.
     """
     support = enumerate_distribution(dgp, kind)
-    cohort = Cohort(tuple(traj for traj, _ in support), kind, seed=None)
+    cohort = Cohort.from_trajectories((traj for traj, _ in support), kind)
     probs = [p for _, p in support]
     estimate = ccw_ate(
         cohort, kind, treat, control, weight_convention, weights=probs

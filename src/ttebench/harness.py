@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_REPLICATE, hash_key, uniform_array
-from .dgp import default_dgp, sample_counts, true_ate
+from .dgp import TrajectoryCounts, default_dgp, sample_cohort, true_ate
 from .errors import (
     AllReplicatesFailed,
     EmptyStratum,
@@ -229,8 +229,8 @@ class BiasReport:
 def _replicate_worker(args: tuple) -> tuple[int, dict[str, float | None]]:
     """Run all selected estimators on one simulated cohort.
 
-    The cohort is sampled straight to its distinct-trajectory counts and
-    fitted once; every estimator shares that fit. Top-level and fed only
+    The cohort is sampled, collapsed to its distinct-trajectory counts
+    and fitted once; every estimator shares that fit. Top-level and fed only
     picklable primitives so it can cross a process boundary; results are
     returned with the replicate index so aggregation is order-independent.
     """
@@ -240,7 +240,8 @@ def _replicate_worker(args: tuple) -> tuple[int, dict[str, float | None]]:
     convention = WeightConvention.from_code(convention_code)
     treat = Regime.from_descriptor(treat_desc)
     control = Regime.from_descriptor(control_desc)
-    counts = sample_counts(default_dgp(kind), kind, n_patients, seed)
+    cohort = sample_cohort(default_dgp(kind), kind, n_patients, seed)
+    counts = TrajectoryCounts.from_cohort(cohort)
     strata = fit_strata(counts, kind)
     out: dict[str, float | None] = {}
     for name in estimators:

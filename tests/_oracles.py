@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from ttebench.dgp import (
     UNCLEAR,
@@ -165,7 +165,7 @@ def oracle_fit_strata(
         if hit:
             cell[0] += wt
 
-    for traj, wt in zip(cohort.trajectories, w):
+    for traj, wt in zip(oracle_trajectories(cohort.x, cohort.y), w):
         if wt == 0.0:
             continue
         hist: tuple = ()
@@ -246,7 +246,9 @@ def oracle_clone_rows(
     """One clone row per patient-period, built patient by patient."""
     w = _patient_weights(cohort, weights)
     rows = []
-    for pid, (traj, pw) in enumerate(zip(cohort.trajectories, w)):
+    for pid, (traj, pw) in enumerate(
+        zip(oracle_trajectories(cohort.x, cohort.y), w)
+    ):
         w_run = 1.0
         censored = False
         hist: tuple = ()
@@ -335,10 +337,32 @@ def oracle_trajectories(x, y) -> tuple[Trajectory, ...]:
     )
 
 
+def oracle_counts(cohort: Cohort, weights=None) -> tuple[Counter, dict]:
+    """Patients and summed patient weight per trajectory, tallied patient
+    by patient."""
+    trajectories = oracle_trajectories(cohort.x, cohort.y)
+    w = [1.0] * cohort.n if weights is None else weights
+    weight: dict = {}
+    for traj, wt in zip(trajectories, w):
+        weight[traj] = weight.get(traj, 0.0) + wt
+    return Counter(trajectories), weight
+
+
+def counts_by_trajectory(counts) -> tuple[dict, dict]:
+    """A ``TrajectoryCounts``' patients and weight per trajectory, in
+    the form of :func:`oracle_counts`; its rows must be distinct."""
+    trajectories = counts.trajectories
+    assert len(set(trajectories)) == len(trajectories)
+    return (
+        dict(zip(trajectories, counts.count.tolist())),
+        dict(zip(trajectories, counts.weight.tolist())),
+    )
+
+
 def oracle_cohort_rows(cohort: Cohort):
     """Header plus one ``id,period,x,y`` row per patient-period."""
     yield ["id", "period", "x", "y"]
-    for pid, traj in enumerate(cohort.trajectories):
+    for pid, traj in enumerate(oracle_trajectories(cohort.x, cohort.y)):
         for t in range(1, traj.T + 1):
             yield [pid, t, traj.x[t - 1], traj.y[t - 1]]
 
@@ -395,4 +419,4 @@ def oracle_read_cohort_csv(path, scenario: ScenarioKind) -> Cohort:
         validate_trajectory(traj, scenario)
         if traj.T != trajectories[0].T:
             raise ValueError("trajectories have inconsistent lengths")
-    return Cohort(tuple(trajectories), scenario, seed=None)
+    return Cohort.from_trajectories(trajectories, scenario)

@@ -199,7 +199,7 @@ def test_criterion_9_property_suites(monkeypatch):
     for kind in (SCEN_A, SCEN_B):
         dgp = default_dgp(kind)
         support = enumerate_distribution(dgp, kind)
-        cohort = Cohort(tuple(t for t, _ in support), kind)
+        cohort = Cohort.from_trajectories((t for t, _ in support), kind)
         probs = [p for _, p in support]
         est = npmle_ate(cohort, kind, ALWAYS, NEVER, weights=probs)
         assert abs(est.ate - true_ate(dgp, kind, ALWAYS, NEVER)) <= 1e-12

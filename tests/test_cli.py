@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -94,6 +95,26 @@ def test_simulate_with_custom_dgp(tmp_path, capsys):
     assert code == 0 and err == ""
     cohort = read_cohort_csv(out_path, SCEN_B)
     assert cohort.n == 30
+
+    # Mistyped table entries are exit 1 with one error line.
+    for field, value in [
+        ("p", "0.5"), ("p", True), ("p", None), ("p", math.nan),
+        ("p", math.inf), ("period", "1"), ("period", True), ("period", 1.0),
+        ("history", [True]), ("history", ["1"]), ("history", [1.0]),
+    ]:
+        table = json.loads(dgp_to_json(default_dgp(SCEN_B)))
+        table["hazard"][-1][field] = value
+        dgp_path.write_text(json.dumps(table))
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--scenario", "B", "--n", "3", "--seed", "1",
+            "--dgp", str(dgp_path),
+        )
+        assert code == 1, (field, value)
+        assert out == "" and "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
+        assert "hazard" in lines[0], (field, value, lines)
 
 
 # ----------------------------------------------------------------- estimate

@@ -3,7 +3,10 @@
 ``_oracles.py`` keeps the row-at-a-time writer, reader and trajectory
 builder. The writer must produce the same bytes, the reader the same
 trajectories in the same order, or the same ``ValueError`` message on a
-corrupted file, and the sampler the same trajectories.
+corrupted file, and the sampler the same trajectories. Cohorts built
+from trajectory objects, valid or not, must give the objects back,
+collapse to the same counts and fail validation with the message of
+their first invalid patient.
 """
 
 import io
@@ -20,13 +23,17 @@ from ttebench import (
     Cohort,
     ScenarioKind,
     Trajectory,
+    TrajectoryCounts,
     default_dgp,
     read_cohort_csv,
     sample_cohort,
+    validate_trajectory,
     write_cohort_csv,
 )
 
 from ._oracles import (
+    counts_by_trajectory,
+    oracle_counts,
     oracle_read_cohort_csv,
     oracle_trajectories,
     oracle_write_cohort_csv,
@@ -41,9 +48,43 @@ cohorts = st.builds(
     st.integers(min_value=0, max_value=2**32),
 )
 
+
+@st.composite
+def hand_built(draw):
+    """A scenario and fresh, unshared trajectory objects, valid or not;
+    equal trajectories repeat as separate objects."""
+    kind = draw(st.sampled_from(SCENARIOS))
+    T = draw(st.integers(min_value=1, max_value=5))
+    row = st.tuples(
+        st.lists(st.sampled_from((0, 1, UNCLEAR)), min_size=T, max_size=T),
+        st.lists(st.sampled_from((0, 1)), min_size=T, max_size=T),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=80))
+    return kind, tuple(Trajectory(tuple(xs), tuple(ys)) for xs, ys in picks)
+
+
+#: A scenario and the trajectories of a sampled or a hand-built cohort.
+trajectory_sets = st.one_of(
+    cohorts.map(lambda c: (c.scenario, c.trajectories)), hand_built()
+)
+
 #: Rows (reader) or patients (writer) per step, so that files span
 #: several steps.
 chunk_sizes = st.sampled_from([1, 5, 64, 1 << 14])
+
+
+def error_message(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_counts_match_trajectories(cohort):
+    counts = TrajectoryCounts.from_cohort(cohort)
+    assert counts_by_trajectory(counts) == oracle_counts(cohort)
 
 
 def read_outcome(reader, path, kind):
@@ -70,9 +111,20 @@ def write_rows(path, header, rows):
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
 
 
-@given(cohorts, chunk_sizes)
-@settings(max_examples=60, deadline=None)
-def test_writer_bytes_match_the_oracle(tmp_path_factory, cohort, chunk):
+@given(trajectory_sets, chunk_sizes)
+@settings(max_examples=100, deadline=None)
+def test_writer_bytes_match_the_oracle(tmp_path_factory, case, chunk):
+    kind, trajectories = case
+    cohort = Cohort.from_trajectories(trajectories, kind)
+    assert oracle_trajectories(cohort.x, cohort.y) == trajectories
+    assert cohort.trajectories == trajectories
+    assert_counts_match_trajectories(cohort)
+    first_error = next(
+        filter(None, (error_message(validate_trajectory, t, kind)
+                      for t in trajectories)),
+        None,
+    )
+    assert error_message(cohort.validate) == first_error
     tmp = tmp_path_factory.mktemp("write")
     stream = io.StringIO(newline="")
     with mock.patch.object(dgp_mod, "_WRITE_CHUNK", chunk):
@@ -232,10 +284,27 @@ def test_long_horizons_read_like_the_oracle(tmp_path):
         ys = tuple(int(t >= death) for t in range(1, T + 1))
         trajectories.append(Trajectory(xs, ys))
     trajectories += trajectories[:10]
-    cohort = Cohort(tuple(trajectories), kind)
+    cohort = Cohort.from_trajectories(trajectories, kind)
     cohort.validate()
+    assert cohort.trajectories == tuple(trajectories)
+    assert_counts_match_trajectories(cohort)
     path = tmp_path / "long.csv"
     oracle_write_cohort_csv(cohort, path)
     outcome = assert_readers_agree(path, kind)
     assert outcome[1] == cohort.trajectories
 
+
+@pytest.mark.parametrize(
+    "trajectories, message",
+    [
+        ([Trajectory((0, 2), (0, 0))], "trajectory cell 2: "),
+        ([Trajectory((0,), (0,)), Trajectory(("x",), (0,))], "trajectory cell 'x': "),
+        ([Trajectory((0,), (2,))], "trajectory cell 2: "),
+        ([Trajectory((0,), (UNCLEAR,))], "trajectory cell 'u': "),
+        ([Trajectory((0,), (0,)), Trajectory((0, 0), (0, 0))], "inconsistent lengths"),
+        ([Trajectory((0, 0), (0,))], "inconsistent lengths"),
+    ],
+)
+def test_from_trajectories_rejects_what_arrays_cannot_hold(trajectories, message):
+    with pytest.raises(ValueError, match=message):
+        Cohort.from_trajectories(trajectories, SCENARIOS[0])

@@ -246,8 +246,8 @@ def test_cohort_csv_round_trip(tmp_path):
 
 
 def test_cohort_csv_header_and_rows(tmp_path):
-    cohort = Cohort(
-        (Trajectory((1, UNCLEAR), (0, 1)),), SCEN_A, seed=None
+    cohort = Cohort.from_trajectories(
+        (Trajectory((1, UNCLEAR), (0, 1)),), SCEN_A
     )
     path = tmp_path / "tiny.csv"
     write_cohort_csv(cohort, path)

@@ -18,6 +18,7 @@ from ttebench import (
     NoAtRiskRows,
     Regime,
     ScenarioKind,
+    TrajectoryCounts,
     WeightConvention,
     ccw_ate,
     clone_rows,
@@ -25,12 +26,13 @@ from ttebench import (
     fit_strata,
     npmle_ate,
     sample_cohort,
-    sample_counts,
 )
 
 from ._oracles import (
+    counts_by_trajectory,
     oracle_ccw,
     oracle_clone_rows,
+    oracle_counts,
     oracle_fit_strata,
     oracle_npmle,
 )
@@ -84,10 +86,14 @@ def test_core_matches_per_patient_oracle(case):
     dgp = default_dgp(kind)
     cohort = sample_cohort(dgp, kind, n, seed)
     exact = weights is None
-    # Unweighted input also runs through the sampler's own counts.
+    # Unweighted input also runs through the cohort's counts.
     inputs = [(cohort, {"weights": weights})]
     if exact:
-        inputs.append((sample_counts(dgp, kind, n, seed), {}))
+        inputs.append((TrajectoryCounts.from_cohort(cohort), {}))
+
+    assert counts_by_trajectory(
+        TrajectoryCounts.from_cohort(cohort, weights)
+    ) == oracle_counts(cohort, weights)
 
     want_strata = oracle_fit_strata(cohort, kind, weights)
     for data, kw in inputs:

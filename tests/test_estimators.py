@@ -17,6 +17,7 @@ from ttebench import (
     ScenarioKind,
     Stratum,
     Trajectory,
+    TrajectoryCounts,
     UNCLEAR,
     WeightConvention,
     ccw_asymptotic,
@@ -28,7 +29,6 @@ from ttebench import (
     fit_strata,
     npmle_ate,
     sample_cohort,
-    sample_counts,
     true_ate,
     write_clone_csv,
 )
@@ -44,15 +44,15 @@ CURRENT = WeightConvention.CURRENT_PERIOD
 def population_cohort(kind):
     d = default_dgp(kind)
     support = enumerate_distribution(d, kind)
-    cohort = Cohort(tuple(traj for traj, _ in support), kind, seed=None)
+    cohort = Cohort.from_trajectories((traj for traj, _ in support), kind)
     probs = [p for _, p in support]
     return d, cohort, probs
 
 
 def b_cohort_t1(pairs):
     """Scenario-B one-period cohort from (x1, y1) pairs."""
-    return Cohort(
-        tuple(Trajectory((x,), (y,)) for x, y in pairs), SCEN_B, seed=None
+    return Cohort.from_trajectories(
+        (Trajectory((x,), (y,)) for x, y in pairs), SCEN_B
     )
 
 
@@ -118,7 +118,9 @@ def test_weight_validation():
         fit_strata(cohort, SCEN_B, weights=[1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         fit_strata(cohort, SCEN_B, weights=[1.0, -0.5])
-    counts = sample_counts(default_dgp(SCEN_B), SCEN_B, 10, seed=1)
+    counts = TrajectoryCounts.from_cohort(
+        sample_cohort(default_dgp(SCEN_B), SCEN_B, 10, seed=1)
+    )
     with pytest.raises(ValueError, match="per patient"):
         fit_strata(counts, SCEN_B, weights=[1.0] * 10)
 
@@ -164,7 +166,7 @@ def test_npmle_grace_regime_population_identity():
 
 
 def test_npmle_missing_stratum_is_reported():
-    cohort = Cohort(
+    cohort = Cohort.from_trajectories(
         (Trajectory((1, 1), (0, 0)), Trajectory((1, 0), (0, 0))),
         SCEN_B,
         seed=None,
@@ -186,7 +188,9 @@ def test_npmle_baseline_standardization_matches_manual_average():
     expected_c = [0.0] * cohort.T
     for level in (0, 1, 2):
         idx = [i for i, lev in enumerate(baseline) if lev == level]
-        sub = Cohort(tuple(cohort.trajectories[i] for i in idx), SCEN_A)
+        sub = Cohort.from_trajectories(
+            (cohort.trajectories[i] for i in idx), SCEN_A
+        )
         sub_est = npmle_ate(sub, SCEN_A, ALWAYS, NEVER)
         share = len(idx) / total
         for k in range(cohort.T):
@@ -202,7 +206,9 @@ def test_npmle_baseline_must_cover_cohort():
     cohort = b_cohort_t1([(1, 0), (0, 0)])
     with pytest.raises(ValueError, match="baseline"):
         npmle_ate(cohort, SCEN_B, ALWAYS, NEVER, baseline=[0])
-    counts = sample_counts(default_dgp(SCEN_B), SCEN_B, 50, seed=1)
+    counts = TrajectoryCounts.from_cohort(
+        sample_cohort(default_dgp(SCEN_B), SCEN_B, 50, seed=1)
+    )
     with pytest.raises(ValueError, match="per-patient Cohort"):
         npmle_ate(counts, SCEN_B, ALWAYS, NEVER, baseline=[0] * 50)
 
@@ -311,7 +317,7 @@ def test_current_convention_zeroes_censored_rows():
 def test_death_period_treatment_is_unclear_and_kept_compatible():
     # Scenario A: a patient dying in period 1 has x1 = u, compatible with
     # both arms, and contributes the event to both.
-    cohort = Cohort(
+    cohort = Cohort.from_trajectories(
         (Trajectory((UNCLEAR, UNCLEAR, UNCLEAR), (1, 1, 1)),
          Trajectory((1, 1, 1), (0, 0, 0)),
          Trajectory((0, 0, 0), (0, 0, 0))),
@@ -349,7 +355,7 @@ def test_ccw_empty_arm_is_reported():
     assert exc.value.arm == "never"
     assert exc.value.period == 1
 
-    two_period = Cohort(
+    two_period = Cohort.from_trajectories(
         (Trajectory((1, 1), (0, 0)), Trajectory((1, 0), (0, 0))),
         SCEN_B,
         seed=None,
