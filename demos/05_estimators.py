@@ -1,8 +1,8 @@
 """The two survival estimators and why they can disagree.
 
-* ``npmle_ate`` -- the nonparametric plug-in: fit every observed hazard
-  stratum exactly, then multiply the strata along each regime's
-  treatment path (the discrete-time g-formula).
+* ``npmle_ate`` -- the nonparametric plug-in: fit the hazards along
+  each regime's treatment path exactly, then multiply them (the
+  discrete-time g-formula).
 * ``ccw_ate`` -- cloning-censoring-weighting: clone every patient into
   each arm, censor a clone when its observed treatment first deviates
   from the arm, and reweight the survivors to undo the censoring.

@@ -87,7 +87,6 @@ from .dgp import (
 from .estimators import (
     AteEstimate,
     CloneRow,
-    Stratum,
     StratumTable,
     WeightConvention,
     ccw_asymptotic,
@@ -134,7 +133,6 @@ __all__ = [
     "ScenarioKind",
     "SelfLoop",
     "Strategy",
-    "Stratum",
     "StratumTable",
     "StudyConfig",
     "SupportTooLarge",

@@ -38,7 +38,7 @@ from .errors import (
     NoAtRiskRows,
     check_positive_int,
 )
-from .estimators import WeightConvention, ccw_ate, fit_strata, npmle_ate
+from .estimators import WeightConvention, ccw_ate, npmle_ate
 from .scenarios import Regime, ScenarioKind
 
 __all__ = [
@@ -229,30 +229,24 @@ class BiasReport:
 def _replicate_worker(args: tuple) -> tuple[int, dict[str, float | None]]:
     """Run all selected estimators on one simulated cohort.
 
-    The cohort is sampled, collapsed to its distinct-trajectory counts
-    and fitted once; every estimator shares that fit. Top-level and fed only
-    picklable primitives so it can cross a process boundary; results are
-    returned with the replicate index so aggregation is order-independent.
+    The cohort is sampled and collapsed once to its distinct-trajectory
+    counts, which every estimator reads. Top-level and fed only picklable
+    objects so it can cross a process boundary; results are returned
+    with the replicate index so aggregation is order-independent.
     """
-    (index, scenario_code, n_patients, seed, estimators,
-     convention_code, treat_desc, control_desc) = args
-    kind = ScenarioKind.from_code(scenario_code)
-    convention = WeightConvention.from_code(convention_code)
-    treat = Regime.from_descriptor(treat_desc)
-    control = Regime.from_descriptor(control_desc)
-    cohort = sample_cohort(default_dgp(kind), kind, n_patients, seed)
-    counts = TrajectoryCounts.from_cohort(cohort)
-    strata = fit_strata(counts, kind)
+    (index, kind, dgp, n_patients, seed, estimators,
+     convention, treat, control) = args
+    counts = TrajectoryCounts.from_cohort(
+        sample_cohort(dgp, kind, n_patients, seed)
+    )
     out: dict[str, float | None] = {}
     for name in estimators:
         try:
             if name == "npmle":
-                out[name] = npmle_ate(
-                    counts, kind, treat, control, strata=strata
-                ).ate
+                out[name] = npmle_ate(counts, kind, treat, control).ate
             else:
                 out[name] = ccw_ate(
-                    counts, kind, treat, control, convention, strata=strata
+                    counts, kind, treat, control, convention
                 ).ate
         except (EmptyStratum, NoAtRiskRows):
             out[name] = None
@@ -295,21 +289,22 @@ def run_bias_study(config: StudyConfig) -> BiasReport:
     when an estimator produced no usable replicate at all.
     """
     kind = config.scenario
-    config.treat.validate(default_dgp(kind).T)
-    config.control.validate(default_dgp(kind).T)
-    start = time.perf_counter()
     dgp = default_dgp(kind)
+    config.treat.validate(dgp.T)
+    config.control.validate(dgp.T)
+    start = time.perf_counter()
     truth = true_ate(dgp, kind, config.treat, config.control)
     tasks = [
         (
             r,
-            kind.code,
+            kind,
+            dgp,
             config.n_patients,
             hash_key(config.master_seed, STREAM_REPLICATE, r),
             config.estimators,
-            config.weight_convention.value,
-            config.treat.describe(),
-            config.control.describe(),
+            config.weight_convention,
+            config.treat,
+            config.control,
         )
         for r in range(config.n_replicates)
     ]

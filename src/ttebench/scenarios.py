@@ -299,6 +299,7 @@ def exchangeability_table(
     kind: ScenarioKind, T: int, regime: Regime
 ) -> dict[tuple[int, int], bool]:
     """The full (i, k) truth table of :func:`exchangeability_holds`."""
+    check_positive_int("horizon", T, InvalidHorizon)
     return {
         (i, k): exchangeability_holds(kind, T, i, k, regime)
         for i in range(1, T + 1)

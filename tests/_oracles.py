@@ -25,12 +25,7 @@ from ttebench.dgp import (
     validate_trajectory,
 )
 from ttebench.errors import EmptyStratum, NoAtRiskRows
-from ttebench.estimators import (
-    CloneRow,
-    Stratum,
-    StratumTable,
-    WeightConvention,
-)
+from ttebench.estimators import CloneRow, WeightConvention
 from ttebench.graphs import Admg, NodeLabel, X, ancestors, build_graph
 from ttebench.scenarios import Regime, ScenarioKind
 
@@ -150,20 +145,17 @@ def _patient_weights(cohort: Cohort, weights) -> list[float]:
     return [1.0] * cohort.n if weights is None else list(weights)
 
 
-def oracle_fit_strata(
-    cohort: Cohort, kind: ScenarioKind, weights=None
-) -> StratumTable:
-    """Stratum counts tallied patient by patient."""
+def oracle_fit_strata(cohort: Cohort, kind: ScenarioKind, weights=None):
+    """Every observed stratum tallied patient by patient, as two dicts
+    from ``(period, history)`` to a ``(numerator, denominator)`` pair:
+    hazards, and survivor-conditioned propensities."""
     w = _patient_weights(cohort, weights)
     hazard: dict = {}
-    propensity: dict = {}
     survivor: dict = {}
 
     def tally(table: dict, key, hit: bool, wt: float):
-        cell = table.setdefault(key, [0.0, 0.0])
-        cell[1] += wt
-        if hit:
-            cell[0] += wt
+        num, den = table.get(key, (0.0, 0.0))
+        table[key] = (num + wt if hit else num, den + wt)
 
     for traj, wt in zip(oracle_trajectories(cohort.x, cohort.y), w):
         if wt == 0.0:
@@ -172,33 +164,13 @@ def oracle_fit_strata(
         for t in range(1, cohort.T + 1):
             xv = traj.x[t - 1]
             yv = traj.y[t - 1]
-            if kind.treatment_first:
-                tally(propensity, (t, hist), xv == 1, wt)
-                hist_t = hist + (xv,)
-                tally(hazard, (t, hist_t), yv == 1, wt)
-                if yv == 1:
-                    break
-                tally(survivor, (t, hist), xv == 1, wt)
-                hist = hist_t
-            else:
-                tally(hazard, (t, hist), yv == 1, wt)
-                if yv == 1:
-                    break
-                tally(propensity, (t, hist), xv == 1, wt)
-                hist = hist + (xv,)
-
-    def freeze(table: dict) -> dict:
-        return {key: Stratum(num, den) for key, (num, den) in table.items()}
-
-    propensity_f = freeze(propensity)
-    return StratumTable(
-        scenario=kind,
-        T=cohort.T,
-        hazard=freeze(hazard),
-        propensity=propensity_f,
-        survivor_propensity=freeze(survivor) if kind.treatment_first
-        else propensity_f,
-    )
+            hazard_hist = hist + (xv,) if kind.treatment_first else hist
+            tally(hazard, (t, hazard_hist), yv == 1, wt)
+            if yv == 1:
+                break
+            tally(survivor, (t, hist), xv == 1, wt)
+            hist = hist + (xv,)
+    return hazard, survivor
 
 
 def _oracle_plugin_curve(strata, kind, regime, T) -> list[float]:
@@ -208,15 +180,16 @@ def _oracle_plugin_curve(strata, kind, regime, T) -> list[float]:
             for comp in regime.components()
         ]
         return [sum(c[k] for c in curves) / len(curves) for k in range(T)]
+    hazard, _ = strata
     path = tuple(regime.treatment_at(t) for t in range(1, T + 1))
     out = []
     s = 1.0
     for k in range(1, T + 1):
         hist = path[:k] if kind.treatment_first else path[: k - 1]
-        stratum = strata.hazard_at(k, hist)
-        if not stratum.defined:
+        num, den = hazard.get((k, hist), (0.0, 0.0))
+        if not den > 0.0:
             raise EmptyStratum(k, hist, role="hazard")
-        s *= 1.0 - stratum.proportion
+        s *= 1.0 - num / den
         out.append(s)
     return out
 
@@ -230,10 +203,11 @@ def oracle_npmle(cohort, kind, treat, control, weights=None):
 
 
 def _survivor_factor(strata, k, history, observed) -> float:
-    stratum = strata.survivor_propensity_at(k, history)
-    if not stratum.defined:
+    _, survivor = strata
+    num, den = survivor.get((k, history), (0.0, 0.0))
+    if not den > 0.0:
         raise EmptyStratum(k, history, role="propensity")
-    p = stratum.proportion
+    p = num / den
     prob = p if observed == 1 else 1.0 - p
     if prob <= 0.0:
         raise EmptyStratum(k, history, role="propensity")

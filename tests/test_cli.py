@@ -446,11 +446,15 @@ def test_check_identification_table(tmp_path, capsys):
 
 
 def test_check_identification_bad_horizon(capsys):
-    code, _, err = run_cli(
-        capsys, "check-identification", "--scenario", "A", "--T", "0"
-    )
-    assert code == 1
-    assert err.startswith("error: InvalidHorizon:")
+    for command, T in (
+        ("check-identification", "0"),
+        ("check-exchangeability", "0"),
+        ("check-exchangeability", "-3"),
+    ):
+        code, out, err = run_cli(capsys, command, "--scenario", "A", "--T", T)
+        assert code == 1, (command, T, out)
+        assert err.startswith("error: InvalidHorizon:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_check_exchangeability_scenario_a(capsys):

@@ -9,16 +9,20 @@ must raise the same error for the same stratum or arm and period.
 """
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttebench import (
+    Cohort,
     EmptyStratum,
     NoAtRiskRows,
     Regime,
     ScenarioKind,
+    Trajectory,
     TrajectoryCounts,
+    UNCLEAR,
     WeightConvention,
     ccw_ate,
     clone_rows,
@@ -67,24 +71,56 @@ def close(a, b, exact: bool, rel: float = 0.0) -> bool:
     ) and len(a) == len(b)
 
 
+def hand_built(kind, T, n, seed):
+    """A valid cohort of always-treated, never-treated and randomly
+    treated patients, each dying in a period with probability 0.05."""
+    rng = random.Random(seed)
+    trajectories = []
+    for _ in range(n):
+        plan = rng.choice(("always", "never", "random"))
+        xs, ys, alive = [], [], True
+        for _ in range(T):
+            entered = alive
+            alive = alive and rng.random() >= 0.05
+            observed = entered if kind.treatment_first else alive
+            treated = {"always": 1, "never": 0}.get(plan, rng.randint(0, 1))
+            xs.append(treated if observed else UNCLEAR)
+            ys.append(0 if alive else 1)
+        trajectories.append(Trajectory(tuple(xs), tuple(ys)))
+    return Cohort.from_trajectories(trajectories, kind)
+
+
 @st.composite
 def cohorts(draw):
+    """Sampled three-period cohorts, or hand-built ones with up to 40
+    periods and nearly every patient distinct; optional patient weights
+    and one random treatment path to compare the strata along."""
     kind = draw(st.sampled_from(SCENARIOS))
-    n = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**64 - 1))
+    if draw(st.booleans()):
+        cohort = sample_cohort(
+            default_dgp(kind), kind, draw(st.integers(1, 300)), seed
+        )
+    else:
+        cohort = hand_built(
+            kind, draw(st.integers(3, 40)), draw(st.integers(1, 60)), seed
+        )
+    n = cohort.n
     weight = st.one_of(
         st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False)
     )
     weights = draw(st.one_of(st.none(), st.lists(weight, min_size=n, max_size=n)))
-    return kind, n, seed, weights
+    path = tuple(draw(st.lists(
+        st.integers(0, 1), min_size=cohort.T, max_size=cohort.T
+    )))
+    return kind, cohort, weights, path
 
 
 @given(cohorts())
 @settings(max_examples=120, deadline=None)
 def test_core_matches_per_patient_oracle(case):
-    kind, n, seed, weights = case
-    dgp = default_dgp(kind)
-    cohort = sample_cohort(dgp, kind, n, seed)
+    kind, cohort, weights, random_path = case
+    n = cohort.n
     exact = weights is None
     # Unweighted input also runs through the cohort's counts.
     inputs = [(cohort, {"weights": weights})]
@@ -95,19 +131,28 @@ def test_core_matches_per_patient_oracle(case):
         TrajectoryCounts.from_cohort(cohort, weights)
     ) == oracle_counts(cohort, weights)
 
-    want_strata = oracle_fit_strata(cohort, kind, weights)
+    want_hazard, want_survivor = want_strata = oracle_fit_strata(
+        cohort, kind, weights
+    )
+    paths = [random_path] + [
+        tuple(regime.treatment_at(t) for t in range(1, cohort.T + 1))
+        for regime in (ALWAYS, NEVER, Regime.initiate_at(2))
+    ]
     for data, kw in inputs:
-        strata = fit_strata(data, kind, **kw)
-        for table in ("hazard", "propensity", "survivor_propensity"):
-            got = getattr(strata, table)
-            want = getattr(want_strata, table)
-            assert got.keys() == want.keys()
-            for key, cell in want.items():
-                pair = (cell.numerator, cell.denominator)
-                assert close(
-                    (got[key].numerator, got[key].denominator), pair,
-                    exact, rel=TOL,
-                ), (table, key)
+        for path in paths:
+            table = fit_strata(data, kind, path, **kw)
+            assert table.path == path
+            for k in range(1, cohort.T + 1):
+                for got, want in (
+                    ((table.hazard_num, table.hazard_den),
+                     want_hazard.get((k, kind.hazard_history(path, k)))),
+                    ((table.propensity_num, table.propensity_den),
+                     want_survivor.get((k, path[: k - 1]))),
+                ):
+                    pair = (float(got[0][k - 1]), float(got[1][k - 1]))
+                    assert close(
+                        pair, want or (0.0, 0.0), exact, rel=TOL
+                    ), (path, k)
 
     for treat, control in NPMLE_ARMS:
         want = outcome(lambda: oracle_npmle(cohort, kind, treat, control, weights))
@@ -145,13 +190,11 @@ def test_core_matches_per_patient_oracle(case):
                 for key in ("weighted_at_risk", "weighted_events", "hazard"):
                     assert close(got_diag[key], diag[key], False, rel=TOL), key
 
-        strata = fit_strata(cohort, kind, weights=weights)
         for regime in (treat, control):
             want = outcome(lambda: oracle_clone_rows(
                 cohort, kind, regime, convention, want_strata, weights))
             got = outcome(lambda: clone_rows(
-                cohort, kind, regime, convention, strata=strata,
-                weights=weights))
+                cohort, kind, regime, convention, weights=weights))
             assert got[0] == want[0], (got, want)
             if got[0] == "raised":
                 assert got == want

@@ -15,7 +15,6 @@ from ttebench import (
     NoAtRiskRows,
     Regime,
     ScenarioKind,
-    Stratum,
     Trajectory,
     TrajectoryCounts,
     UNCLEAR,
@@ -66,63 +65,75 @@ B_T1_TABLE = DgpTable(
 # ------------------------------------------------------------- stratum fits
 
 
+def padded(history, T):
+    """A treatment path over T periods that starts with ``history``."""
+    return tuple(history) + (0,) * (T - len(history))
+
+
 def test_fit_strata_population_recovers_generating_tables():
+    # Hazards in both scenarios; propensities in scenario A, where the
+    # survivors of a period are the ones whose treatment is drawn.
     for kind in (SCEN_A, SCEN_B):
         d, cohort, probs = population_cohort(kind)
-        strata = fit_strata(cohort, kind, weights=probs)
         for (k, hist), p in d.hazard.items():
-            assert strata.hazard_at(k, hist).proportion == pytest.approx(
-                p, abs=1e-12
+            table = fit_strata(cohort, kind, padded(hist, d.T), weights=probs)
+            assert table.hazard_num[k - 1] / table.hazard_den[k - 1] == (
+                pytest.approx(p, abs=1e-12)
             ), (kind, "hazard", k, hist)
-        for (k, hist), p in d.propensity.items():
-            assert strata.propensity_at(k, hist).proportion == pytest.approx(
-                p, abs=1e-12
-            ), (kind, "propensity", k, hist)
+    d, cohort, probs = population_cohort(SCEN_A)
+    for (k, hist), p in d.propensity.items():
+        table = fit_strata(cohort, SCEN_A, padded(hist, d.T), weights=probs)
+        assert table.propensity_num[k - 1] / table.propensity_den[k - 1] == (
+            pytest.approx(p, abs=1e-12)
+        ), ("propensity", k, hist)
 
 
 def test_survivor_propensity_is_outcome_tilted_in_scenario_b():
     d, cohort, probs = population_cohort(SCEN_B)
-    strata = fit_strata(cohort, SCEN_B, weights=probs)
+    table = fit_strata(cohort, SCEN_B, (1, 1, 1), weights=probs)
     # P(x1=1 | y1=0) = 0.3*0.9 / (0.3*0.9 + 0.7*0.8), not the raw 0.3.
     expected = 0.27 / (0.27 + 0.56)
-    assert strata.survivor_propensity_at(1, ()).proportion == pytest.approx(
+    assert table.propensity_num[0] / table.propensity_den[0] == pytest.approx(
         expected, abs=1e-12
     )
-    assert strata.propensity_at(1, ()).proportion == pytest.approx(0.3, abs=1e-12)
-
-
-def test_survivor_propensity_aliases_propensity_in_scenario_a():
-    d, cohort, probs = population_cohort(SCEN_A)
-    strata = fit_strata(cohort, SCEN_A, weights=probs)
-    assert strata.survivor_propensity is strata.propensity
 
 
 def test_fit_strata_unweighted_counts():
     cohort = b_cohort_t1([(1, 0), (1, 1), (0, 0), (0, 0)])
-    strata = fit_strata(cohort, SCEN_B)
-    assert strata.hazard_at(1, (1,)) == Stratum(1.0, 2.0)
-    assert strata.hazard_at(1, (0,)) == Stratum(0.0, 2.0)
-    assert strata.propensity_at(1, ()) == Stratum(2.0, 4.0)
-    assert strata.survivor_propensity_at(1, ()) == Stratum(1.0, 3.0)
-    assert not strata.hazard_at(2, ()).defined
-
-
-def test_stratum_proportion_requires_mass():
-    with pytest.raises(ValueError, match="undefined"):
-        Stratum(0.0, 0.0).proportion
+    treated = fit_strata(cohort, SCEN_B, (1,))
+    untreated = fit_strata(cohort, SCEN_B, (0,))
+    assert treated.path == (1,)
+    assert (treated.hazard_num.tolist(), treated.hazard_den.tolist()) == (
+        [1.0], [2.0])
+    assert (untreated.hazard_num.tolist(), untreated.hazard_den.tolist()) == (
+        [0.0], [2.0])
+    for table in (treated, untreated):
+        assert table.propensity_num.tolist() == [1.0]
+        assert table.propensity_den.tolist() == [3.0]
+    two_period = Cohort.from_trajectories(
+        (Trajectory((1, 1), (0, 0)), Trajectory((1, 0), (0, 0))), SCEN_B
+    )
+    table = fit_strata(two_period, SCEN_B, (1, 1))
+    assert table.hazard_den.tolist() == [2.0, 1.0]
+    assert table.propensity_num.tolist() == [2.0, 1.0]
+    assert table.propensity_den.tolist() == [2.0, 2.0]
+    assert fit_strata(two_period, SCEN_B, (0, 0)).hazard_den.tolist() == [0.0, 0.0]
+    for bad in ((1,), (1, 2)):
+        with pytest.raises(ValueError, match="0/1 treatments of 2 periods"):
+            fit_strata(two_period, SCEN_B, bad)
 
 
 def test_weight_validation():
     cohort = b_cohort_t1([(1, 0), (0, 0)])
     with pytest.raises(ValueError, match="length"):
-        fit_strata(cohort, SCEN_B, weights=[1.0])
+        fit_strata(cohort, SCEN_B, (1,), weights=[1.0])
     with pytest.raises(ValueError, match="nonnegative"):
-        fit_strata(cohort, SCEN_B, weights=[1.0, -0.5])
+        fit_strata(cohort, SCEN_B, (1,), weights=[1.0, -0.5])
     counts = TrajectoryCounts.from_cohort(
         sample_cohort(default_dgp(SCEN_B), SCEN_B, 10, seed=1)
     )
     with pytest.raises(ValueError, match="per patient"):
-        fit_strata(counts, SCEN_B, weights=[1.0] * 10)
+        fit_strata(counts, SCEN_B, (1, 1, 1), weights=[1.0] * 10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -130,7 +141,7 @@ def test_non_finite_weights_are_rejected_by_index(bad):
     cohort = b_cohort_t1([(1, 0), (0, 0), (1, 1)])
     weights = [1.0, bad, bad]
     for estimate in (
-        lambda: fit_strata(cohort, SCEN_B, weights=weights),
+        lambda: fit_strata(cohort, SCEN_B, (1,), weights=weights),
         lambda: npmle_ate(cohort, SCEN_B, ALWAYS, NEVER, weights=weights),
         lambda: ccw_ate(cohort, SCEN_B, ALWAYS, NEVER, weights=weights),
     ):
