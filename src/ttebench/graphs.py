@@ -9,7 +9,11 @@ and DOT import/export.
 
 Node identity is structural: a node is its ``(kind, period)`` pair, so
 queries can quantify over, say, every treatment before period k without
-tracking positional indices.
+tracking positional indices. Labels are the public interface: every
+function takes and returns them. Internally a graph numbers its nodes
+0..N-1 and stores each node's parents, children and siblings as integer
+bitsets; a graph is validated once, when it is built from labels, and
+:func:`mutilate` derives its result from those bitsets.
 
 Graphs are immutable after construction; every query is read-only, so
 concurrent evaluation is safe.
@@ -18,11 +22,10 @@ concurrent evaluation is safe.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 from .errors import (
     CycleDetected,
@@ -160,81 +163,118 @@ A = NodeLabel(NodeKind.LATENT_TREATMENT_CAUSE)
 B = NodeLabel(NodeKind.LATENT_OUTCOME_CAUSE)
 
 
-@dataclass(frozen=True)
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pairs(adjacency: Tuple[int, ...]) -> list[tuple[int, int]]:
+    """Index pairs ``(u, v)`` for every bit ``v`` of ``adjacency[u]``,
+    ordered by ``u`` and then ``v``."""
+    return [(u, v) for u, bits in enumerate(adjacency) for v in _bits(bits)]
+
+
 class Admg:
     """Acyclic directed mixed graph: directed plus bidirected edges.
 
     Construction validates that all edge endpoints are declared, no
     edge is a self-loop, and the directed part is acyclic. Use
     :func:`build_graph` to construct from plain iterables.
+
+    ``nodes``, ``directed`` and ``bidirected`` are the label-level
+    view. Internally node ``i`` is the ``i``-th label in
+    :attr:`NodeLabel.sort_key` order, and the parents, children and
+    siblings of each node are int bitsets over those indices. Graphs
+    are immutable: assigning an attribute raises ``AttributeError``.
     """
 
-    nodes: FrozenSet[NodeLabel]
-    directed: FrozenSet[Tuple[NodeLabel, NodeLabel]]
-    bidirected: FrozenSet[FrozenSet[NodeLabel]]
+    def __init__(self, nodes: FrozenSet[NodeLabel], directed: FrozenSet[tuple],
+                 bidirected: FrozenSet[frozenset]):
+        labels = tuple(sorted(nodes, key=lambda n: n.sort_key))
+        index = {label: i for i, label in enumerate(labels)}
 
-    def __post_init__(self):
-        for u, v in self.directed:
-            self._check_endpoint(u)
-            self._check_endpoint(v)
-            if u == v:
+        def endpoint(u: NodeLabel) -> int:
+            if u not in index:
+                raise UnknownNode(f"edge endpoint {u} is not a declared node")
+            return index[u]
+
+        parents = [0] * len(labels)
+        children = [0] * len(labels)
+        siblings = [0] * len(labels)
+        for u, v in directed:
+            iu, iv = endpoint(u), endpoint(v)
+            if iu == iv:
                 raise SelfLoop(f"directed self-loop on {u}")
-        for pair in self.bidirected:
+            parents[iv] |= 1 << iu
+            children[iu] |= 1 << iv
+        for pair in bidirected:
             if len(pair) != 2:
                 raise SelfLoop(f"bidirected self-loop on {set(pair)}")
-            for u in pair:
-                self._check_endpoint(u)
-        self._check_acyclic()
-
-    def _check_endpoint(self, u: NodeLabel) -> None:
-        if u not in self.nodes:
-            raise UnknownNode(f"edge endpoint {u} is not a declared node")
-
-    def _check_acyclic(self) -> None:
-        indegree = {v: 0 for v in self.nodes}
-        for _, v in self.directed:
-            indegree[v] += 1
-        ready = deque(v for v, d in indegree.items() if d == 0)
-        seen = 0
-        children = self._children
-        while ready:
-            u = ready.popleft()
-            seen += 1
-            for v in children.get(u, ()):
+            iu, iv = (endpoint(u) for u in pair)
+            siblings[iu] |= 1 << iv
+            siblings[iv] |= 1 << iu
+        indegree = [p.bit_count() for p in parents]
+        ready = [v for v, d in enumerate(indegree) if d == 0]
+        for u in ready:  # grows while it is walked: Kahn's algorithm
+            for v in _bits(children[u]):
                 indegree[v] -= 1
                 if indegree[v] == 0:
                     ready.append(v)
-        if seen != len(self.nodes):
-            cyclic = sorted(
-                (v.name for v, d in indegree.items() if d > 0)
-            )
+        if len(ready) != len(labels):
+            cyclic = sorted(labels[v].name for v, d in enumerate(indegree) if d)
             raise CycleDetected(f"directed cycle among {cyclic}")
+        self.__dict__.update(
+            nodes=nodes, directed=directed, bidirected=bidirected,
+            _labels=labels, _index=index, _pa=tuple(parents),
+            _ch=tuple(children), _sib=tuple(siblings),
+        )
+
+    def _subgraph(self, pa, ch, sib) -> "Admg":
+        """The graph over the same nodes with a subset of the edges: it
+        needs no validation, and its label-level edge sets are built only
+        when read."""
+        g = object.__new__(Admg)
+        g.__dict__.update(
+            nodes=self.nodes, _labels=self._labels, _index=self._index,
+            _pa=pa, _ch=ch, _sib=sib,
+        )
+        return g
 
     @cached_property
-    def _parents(self) -> Mapping[NodeLabel, frozenset]:
-        out: dict[NodeLabel, set] = {v: set() for v in self.nodes}
-        for u, v in self.directed:
-            out[v].add(u)
-        return {v: frozenset(s) for v, s in out.items()}
+    def directed(self) -> FrozenSet[Tuple[NodeLabel, NodeLabel]]:
+        labels = self._labels
+        return frozenset((labels[u], labels[v]) for u, v in _pairs(self._ch))
 
     @cached_property
-    def _children(self) -> Mapping[NodeLabel, frozenset]:
-        out: dict[NodeLabel, set] = {v: set() for v in self.nodes}
-        for u, v in self.directed:
-            out[u].add(v)
-        return {v: frozenset(s) for v, s in out.items()}
+    def bidirected(self) -> FrozenSet[FrozenSet[NodeLabel]]:
+        labels = self._labels
+        return frozenset(
+            frozenset((labels[u], labels[v]))
+            for u, v in _pairs(self._sib) if u < v
+        )
 
-    @cached_property
-    def _siblings(self) -> Mapping[NodeLabel, frozenset]:
-        out: dict[NodeLabel, set] = {v: set() for v in self.nodes}
-        for pair in self.bidirected:
-            u, v = tuple(pair)
-            out[u].add(v)
-            out[v].add(u)
-        return {v: frozenset(s) for v, s in out.items()}
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Admg) and (self._labels, self._pa, self._sib) == (
+            other._labels, other._pa, other._sib
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._labels, self._pa, self._sib))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Admg({self.nodes!r}, {self.directed!r}, {self.bidirected!r})"
 
     def sorted_nodes(self) -> list[NodeLabel]:
-        return sorted(self.nodes, key=lambda n: n.sort_key)
+        return list(self._labels)
 
 
 def build_graph(
@@ -263,41 +303,48 @@ def build_graph(
     return Admg(node_set, dir_set, bidir_set)
 
 
-def _require_known(g: Admg, nodes: Iterable[NodeLabel]) -> frozenset:
-    s = frozenset(nodes)
-    missing = s - g.nodes
+def _mask(g: Admg, nodes: Iterable[NodeLabel]) -> int:
+    """Bitset of ``nodes``; raises :class:`UnknownNode` for any not in ``g``."""
+    index = g._index
+    mask = 0
+    missing = set()
+    for n in nodes:
+        i = index.get(n)
+        if i is None:
+            missing.add(n)
+        else:
+            mask |= 1 << i
     if missing:
         names = sorted(n.name for n in missing)
         raise UnknownNode(f"nodes not in graph: {names}")
-    return s
+    return mask
+
+
+def _labels_of(g: Admg, mask: int) -> frozenset:
+    labels = g._labels
+    return frozenset(labels[i] for i in _bits(mask))
+
+
+def _closure(adjacency: Tuple[int, ...], mask: int) -> int:
+    """``mask`` plus every node reachable from it along ``adjacency``."""
+    frontier = mask
+    while frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= adjacency[v]
+        frontier = step & ~mask
+        mask |= frontier
+    return mask
 
 
 def ancestors(g: Admg, targets: Iterable[NodeLabel]) -> frozenset:
     """Targets plus every node with a directed path into a target."""
-    result = set(_require_known(g, targets))
-    frontier = deque(result)
-    parents = g._parents
-    while frontier:
-        v = frontier.popleft()
-        for p in parents[v]:
-            if p not in result:
-                result.add(p)
-                frontier.append(p)
-    return frozenset(result)
+    return _labels_of(g, _closure(g._pa, _mask(g, targets)))
 
 
 def descendants(g: Admg, sources: Iterable[NodeLabel]) -> frozenset:
     """Sources plus every node reachable along directed edges."""
-    result = set(_require_known(g, sources))
-    frontier = deque(result)
-    children = g._children
-    while frontier:
-        v = frontier.popleft()
-        for c in children[v]:
-            if c not in result:
-                result.add(c)
-                frontier.append(c)
-    return frozenset(result)
+    return _labels_of(g, _closure(g._ch, _mask(g, sources)))
 
 
 def mutilate(
@@ -313,13 +360,58 @@ def mutilate(
     incoming arrowhead); ``remove_outgoing`` leaves them in place. The
     node set is unchanged.
     """
-    rin = _require_known(g, remove_incoming)
-    rout = _require_known(g, remove_outgoing)
-    directed = frozenset(
-        (u, v) for u, v in g.directed if v not in rin and u not in rout
+    rin = _mask(g, remove_incoming)
+    rout = _mask(g, remove_outgoing)
+    return g._subgraph(
+        tuple(0 if rin >> v & 1 else p & ~rout for v, p in enumerate(g._pa)),
+        tuple(0 if rout >> u & 1 else c & ~rin for u, c in enumerate(g._ch)),
+        tuple(0 if rin >> v & 1 else s & ~rin for v, s in enumerate(g._sib)),
     )
-    bidirected = frozenset(pair for pair in g.bidirected if not (pair & rin))
-    return Admg(g.nodes, directed, bidirected)
+
+
+def _m_reach(g: Admg, a: int, z: int) -> int:
+    """Bitset of the nodes m-connected to a node of ``a`` given ``z``.
+
+    Breadth-first reachability over (node, arrived-through-head) states,
+    one frontier bitset per arrival mark (Shachter's Bayes-Ball). A node
+    of ``a`` is an endpoint and is left through every incident edge. A
+    later node passes the walk on through a tail at itself only when it
+    is outside ``z``, and from an arrowhead into another arrowhead (a
+    collider) only when it is in ``z``. A collider that is open only
+    through a descendant in ``z`` needs no ancestor closure: the walk
+    runs down to that descendant, turns there and climbs back, arriving
+    through a tail, so it reaches the same nodes.
+    """
+    pa, ch, sib = g._pa, g._ch, g._sib
+    into_head = into_tail = 0
+    for v in _bits(a):
+        into_head |= ch[v] | sib[v]
+        into_tail |= pa[v]
+    head = tail = 0
+    while True:
+        into_head &= ~head
+        into_tail &= ~tail
+        if not (into_head or into_tail):
+            return head | tail
+        head |= into_head
+        tail |= into_tail
+        next_head = next_tail = 0
+        for v in _bits(into_tail & ~z):
+            next_head |= ch[v] | sib[v]
+            next_tail |= pa[v]
+        for v in _bits(into_head & ~z):
+            next_head |= ch[v]
+        for v in _bits(into_head & z):
+            next_head |= sib[v]
+            next_tail |= pa[v]
+        into_head, into_tail = next_head, next_tail
+
+
+def _m_connected(
+    g: Admg, a: Iterable[NodeLabel], z: Iterable[NodeLabel]
+) -> frozenset:
+    """The nodes m-connected to some node of ``a`` given ``z``."""
+    return _labels_of(g, _m_reach(g, _mask(g, a), _mask(g, z)))
 
 
 def m_separated(
@@ -333,75 +425,18 @@ def m_separated(
     A bidirected edge behaves as a path segment with arrowheads at both
     ends. A non-collider on a path blocks it when conditioned; a
     collider blocks it unless the collider or one of its descendants is
-    conditioned. Implemented as reachability over (node, arrival-mark)
-    states, where the mark records whether the last edge reached the
-    node through an arrowhead; correctness against exhaustive path
-    enumeration is property-tested.
+    conditioned. ``a`` and ``b`` are separated iff the reachability
+    pass from ``a`` meets no node of ``b``; agreement with exhaustive
+    path enumeration is property-tested.
     """
-    a_set = _require_known(g, a)
-    b_set = _require_known(g, b)
-    z_set = _require_known(g, z)
-    if a_set & b_set or a_set & z_set or b_set & z_set:
+    a_mask = _mask(g, a)
+    b_mask = _mask(g, b)
+    z_mask = _mask(g, z)
+    if a_mask & b_mask or a_mask & z_mask or b_mask & z_mask:
         raise OverlappingSets("query sets must be pairwise disjoint")
-    if not a_set or not b_set:
+    if not a_mask or not b_mask:
         return True
-
-    # A collider is open iff it is in z or has a descendant in z,
-    # i.e. iff it is an ancestor (inclusive) of z.
-    open_colliders = ancestors(g, z_set) if z_set else frozenset()
-    parents = g._parents
-    children = g._children
-    siblings = g._siblings
-
-    # States are (node, arrived_through_head). From a state we may exit
-    # through an edge whose end at the node is a head only if the node
-    # acts as an open collider; any exit through a tail needs the node
-    # unconditioned.
-    queue: deque[tuple[NodeLabel, bool]] = deque()
-    visited: set[tuple[NodeLabel, bool]] = set()
-
-    def push(node: NodeLabel, via_head: bool) -> bool:
-        """Queue a state; returns True when the b side is reached."""
-        if node in b_set:
-            return True
-        state = (node, via_head)
-        if state not in visited:
-            visited.add(state)
-            queue.append(state)
-        return False
-
-    for start in a_set:
-        # The start node is an endpoint, not an intermediate: leave it
-        # through every incident edge unconditionally.
-        for child in children[start]:
-            if push(child, True):
-                return False
-        for parent in parents[start]:
-            if push(parent, False):
-                return False
-        for sib in siblings[start]:
-            if push(sib, True):
-                return False
-
-    while queue:
-        node, via_head = queue.popleft()
-        may_collide = via_head and node in open_colliders
-        may_chain = node not in z_set
-        if may_chain:
-            for child in children[node]:
-                if push(child, True):
-                    return False
-        # Exits through arrowheads at `node`: collider configuration
-        # when we also arrived through an arrowhead.
-        head_exit_ok = may_collide if via_head else may_chain
-        if head_exit_ok:
-            for parent in parents[node]:
-                if push(parent, False):
-                    return False
-            for sib in siblings[node]:
-                if push(sib, True):
-                    return False
-    return True
+    return not _m_reach(g, a_mask, z_mask) & b_mask
 
 
 def to_dot(g: Admg) -> str:
@@ -413,17 +448,14 @@ def to_dot(g: Admg) -> str:
     """
     if not g.nodes:
         return "digraph g { }"
+    names = [n.name for n in g._labels]
     lines = ["digraph g {"]
-    for node in g.sorted_nodes():
-        lines.append(f"  {node.name};")
-    for u, v in sorted(g.directed, key=lambda e: (e[0].sort_key, e[1].sort_key)):
-        lines.append(f"  {u.name} -> {v.name};")
-    bidir = sorted(
-        (sorted(pair, key=lambda n: n.sort_key) for pair in g.bidirected),
-        key=lambda p: (p[0].sort_key, p[1].sort_key),
-    )
-    for u, v in bidir:
-        lines.append(f"  {u.name} -> {v.name} [dir=both, style=dashed];")
+    lines += [f"  {name};" for name in names]
+    lines += [f"  {names[u]} -> {names[v]};" for u, v in _pairs(g._ch)]
+    lines += [
+        f"  {names[u]} -> {names[v]} [dir=both, style=dashed];"
+        for u, v in _pairs(g._sib) if u < v
+    ]
     lines.append("}")
     return "\n".join(lines)
 

@@ -105,8 +105,7 @@ def rule3_premise_holds(g: Admg, kind: ScenarioKind, T: int, k: int) -> bool:
     kept, dropped = _treatment_split(g, kind, k)
     partial = mutilate(g, remove_incoming=kept)
     confounders = {C} & g.nodes
-    shielded = ancestors(partial, confounders) if confounders else frozenset()
-    removable = {n for n in dropped if n not in shielded}
+    removable = dropped - ancestors(partial, confounders)
     final = mutilate(partial, remove_incoming=removable)
     conditioning = kept | {Y(t) for t in range(1, k)} | confounders
     return m_separated(final, {Y(k)}, dropped, conditioning)

@@ -19,7 +19,10 @@ The counterfactual-exchangeability check builds an ancestral
 multi-world network (AMWN): the simplified factual graph is joined with
 copies of the outcomes affected by the intervention, linked to their
 factual twins by bidirected edges (shared exogenous noise), and the
-independence is read off with m-separation.
+independence is read off with m-separation. Every supported regime
+fixes every treatment, so the AMWN depends only on ``(kind, T)``: a
+table builds it once and answers each treatment period's column with
+one reachability pass.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     RegimeOutOfRange,
     check_positive_int,
 )
-from .graphs import A, Admg, B, C, NodeKind, X, Y, Yx, build_graph, m_separated
+from .graphs import A, Admg, B, C, X, Y, Yx, build_graph
 
 __all__ = [
     "ScenarioKind",
@@ -228,34 +231,45 @@ def build_amwn(kind: ScenarioKind, T: int, regime: Regime) -> Admg:
     """Ancestral multi-world network over the simplified scenario graph.
 
     Every supported regime intervenes on all treatment nodes, fixing
-    them to constants, so an outcome gets a counterfactual copy exactly
-    when some treatment is its ancestor in the factual graph. A copy
-    ``Yx_t`` has parent ``Yx_{t-1}`` when that copy exists, otherwise
-    the factual ``Y_{t-1}``; it has no treatment parents (treatments
-    are constants in the counterfactual world) and shares its exogenous
-    noise with the factual ``Y_t`` through a bidirected edge. Outcomes
-    untouched by the intervention are not copied: the factual node
-    serves both worlds.
+    them to constants, so the network depends only on ``(kind, T)``;
+    the regime is only checked against the horizon. An outcome gets a
+    counterfactual copy exactly when some treatment is its ancestor in
+    the factual graph. A copy ``Yx_t`` has parent ``Yx_{t-1}`` when
+    that copy exists, otherwise the factual ``Y_{t-1}``; it has no
+    treatment parents (treatments are constants in the counterfactual
+    world) and shares its exogenous noise with the factual ``Y_t``
+    through a bidirected edge. Outcomes untouched by the intervention
+    are not copied: the factual node serves both worlds.
     """
     check_positive_int("horizon", T, InvalidHorizon)
+    regime.validate(T)
     base = build_trial_graph(kind, T, with_latents=False)
-    treatments = {n for n in base.nodes if n.kind is NodeKind.TREATMENT}
-    affected = graphs.descendants(base, treatments)
-    copied = sorted(
-        t for t in range(1, T + 1) if Y(t) in affected
-    )
+    affected = graphs.descendants(base, [X(t) for t in range(1, T + 1)])
+    copied = [t for t in range(1, T + 1) if Y(t) in affected]
     nodes = set(base.nodes)
     directed = set(base.directed)
     bidirected: list[tuple] = []
-    copied_set = set(copied)
     for t in copied:
         nodes.add(Yx(t))
         bidirected.append((Y(t), Yx(t)))
         if t == 1:
             continue
-        parent = Yx(t - 1) if (t - 1) in copied_set else Y(t - 1)
+        parent = Yx(t - 1) if (t - 1) in copied else Y(t - 1)
         directed.add((parent, Yx(t)))
     return build_graph(nodes, directed, bidirected)
+
+
+def _exchangeable_column(amwn: Admg, T: int, k: int) -> list[bool]:
+    """Column k of the exchangeability table, entry i-1 for period i: one
+    reachability pass from ``X(k)`` given ``X(<k)`` and ``Y(<=k)`` decides
+    every outcome period, exchangeable iff the pass does not reach it."""
+    conditioning = {X(t) for t in range(1, k)} | {Y(t) for t in range(1, k + 1)}
+    reached = graphs._m_connected(amwn, [X(k)], conditioning)
+    column = []
+    for i in range(1, T + 1):
+        target = Yx(i) if Yx(i) in amwn.nodes else Y(i)
+        column.append(target in conditioning or target not in reached)
+    return column
 
 
 def exchangeability_holds(
@@ -272,36 +286,22 @@ def exchangeability_holds(
     statement is trivially granted — a convention, reported as holding.
 
     Grace-period regimes are mixtures of initiation regimes; the check
-    must hold for every component.
+    must hold for every component, and all components share one AMWN.
     """
     check_positive_int("horizon", T, InvalidHorizon)
     for p, label in ((i, "i"), (k, "k")):
         if not isinstance(p, int) or p < 1 or p > T:
             raise PeriodOutOfRange(f"{label}={p!r} outside 1..{T}")
-    if not regime.is_deterministic:
-        regime.validate(T)
-        return all(
-            exchangeability_holds(kind, T, i, k, component)
-            for component in regime.components()
-        )
-    regime.validate(T)
-    amwn = build_amwn(kind, T, regime)
-    conditioning = {X(t) for t in range(1, k)} | {Y(t) for t in range(1, k + 1)}
-    if C in amwn.nodes:
-        conditioning.add(C)
-    target = Yx(i) if Yx(i) in amwn.nodes else Y(i)
-    if target in conditioning:
-        return True
-    return m_separated(amwn, {target}, {X(k)}, conditioning)
+    return _exchangeable_column(build_amwn(kind, T, regime), T, k)[i - 1]
 
 
 def exchangeability_table(
     kind: ScenarioKind, T: int, regime: Regime
 ) -> dict[tuple[int, int], bool]:
-    """The full (i, k) truth table of :func:`exchangeability_holds`."""
+    """The full (i, k) truth table of :func:`exchangeability_holds`,
+    from one AMWN and one reachability pass per treatment period."""
     check_positive_int("horizon", T, InvalidHorizon)
-    return {
-        (i, k): exchangeability_holds(kind, T, i, k, regime)
-        for i in range(1, T + 1)
-        for k in range(1, T + 1)
-    }
+    amwn = build_amwn(kind, T, regime)
+    columns = [_exchangeable_column(amwn, T, k) for k in range(1, T + 1)]
+    periods = range(1, T + 1)
+    return {(i, k): columns[k - 1][i - 1] for i in periods for k in periods}

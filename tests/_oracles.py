@@ -2,7 +2,9 @@
 
 These deliberately use different algorithms from the implementations
 they check: m-separation by exhaustive simple-path enumeration instead
-of reachability, counterfactual survival by enumerating the
+of reachability, the graph checks on label sets with dict adjacency
+and one rebuilt network per exchangeability cell instead of bitsets
+and one pass per column, counterfactual survival by enumerating the
 intervened generating process instead of the closed-form product, and
 the estimators by walking every patient and every clone row instead of
 the distinct-trajectory counts, and the cohort CSV boundary by one
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
+from typing import NamedTuple
 
 from ttebench.dgp import (
     UNCLEAR,
@@ -26,11 +29,75 @@ from ttebench.dgp import (
 )
 from ttebench.errors import EmptyStratum, NoAtRiskRows
 from ttebench.estimators import CloneRow, WeightConvention
-from ttebench.graphs import Admg, NodeLabel, X, ancestors, build_graph
-from ttebench.scenarios import Regime, ScenarioKind
+from ttebench.graphs import C, Admg, NodeKind, NodeLabel, X, Y, Yx, build_graph
+from ttebench.scenarios import Regime, ScenarioKind, build_trial_graph
 
 
-def oracle_m_separated(g: Admg, a, b, z) -> bool:
+# ------------------------------------------------------------ graph checks
+#
+# These work on the label-level view only (``nodes``, ``directed`` and
+# ``bidirected`` frozensets), with dict adjacency, so they share no code
+# with the bitset graphs of ``ttebench.graphs``.
+
+
+class LabelGraph(NamedTuple):
+    """A mixed graph as plain label sets; an ``Admg`` fits the same reads."""
+
+    nodes: frozenset
+    directed: frozenset
+    bidirected: frozenset
+
+
+def _adjacency(g) -> tuple[dict, dict, dict]:
+    """Parents, children and siblings of every node, as dicts of sets."""
+    parents = {v: set() for v in g.nodes}
+    children = {v: set() for v in g.nodes}
+    siblings = {v: set() for v in g.nodes}
+    for u, v in g.directed:
+        parents[v].add(u)
+        children[u].add(v)
+    for pair in g.bidirected:
+        u, v = tuple(pair)
+        siblings[u].add(v)
+        siblings[v].add(u)
+    return parents, children, siblings
+
+
+def _closure(neighbours: dict, start) -> frozenset:
+    result = set(start)
+    frontier = deque(result)
+    while frontier:
+        for w in neighbours[frontier.popleft()]:
+            if w not in result:
+                result.add(w)
+                frontier.append(w)
+    return frozenset(result)
+
+
+def oracle_ancestors(g, targets) -> frozenset:
+    """Targets plus every node with a directed path into one."""
+    return _closure(_adjacency(g)[0], targets)
+
+
+def oracle_descendants(g, sources) -> frozenset:
+    """Sources plus every node reachable along directed edges."""
+    return _closure(_adjacency(g)[1], sources)
+
+
+def oracle_mutilate(g, remove_incoming=(), remove_outgoing=()) -> LabelGraph:
+    """Edge surgery on label sets: drop directed edges into
+    ``remove_incoming`` or out of ``remove_outgoing``, and bidirected
+    edges touching ``remove_incoming``."""
+    rin = frozenset(remove_incoming)
+    rout = frozenset(remove_outgoing)
+    return LabelGraph(
+        frozenset(g.nodes),
+        frozenset((u, v) for u, v in g.directed if v not in rin and u not in rout),
+        frozenset(pair for pair in g.bidirected if not pair & rin),
+    )
+
+
+def oracle_m_separated(g, a, b, z) -> bool:
     """m-separation by brute-force enumeration of simple paths.
 
     A path m-connects given Z when every non-collider on it is outside
@@ -53,7 +120,7 @@ def oracle_m_separated(g: Admg, a, b, z) -> bool:
         u, v = tuple(pair)
         adj[u].append((v, True, True))
         adj[v].append((u, True, True))
-    open_colliders = ancestors(g, z) if z else frozenset()
+    open_colliders = oracle_ancestors(g, z)
 
     def passes(node: NodeLabel, head_in: bool, head_out: bool) -> bool:
         if head_in and head_out:
@@ -81,6 +148,124 @@ def oracle_m_separated(g: Admg, a, b, z) -> bool:
             if dfs(nxt, head_next, frozenset({start, nxt})):
                 return False
     return True
+
+
+def oracle_reach_m_separated(g, a, b, z) -> bool:
+    """m-separation by reachability over (node, arrived-through-head)
+    states in dict adjacency, stopping at the first node of ``b``.
+
+    Unlike path enumeration this stays fast on the dense scenario
+    graphs. From a state the walk leaves through an arrowhead at the
+    node only when the node is an open collider (arrived through a
+    head) or unconditioned (arrived through a tail); it leaves through
+    a tail only when the node is unconditioned.
+    """
+    return _reach_separated(_adjacency(g), a, b, z)
+
+
+def _reach_separated(adjacency, a, b, z) -> bool:
+    a, b, z = frozenset(a), frozenset(b), frozenset(z)
+    if not a or not b:
+        return True
+    parents, children, siblings = adjacency
+    open_colliders = _closure(parents, z)
+    queue: deque[tuple[NodeLabel, bool]] = deque()
+    visited: set[tuple[NodeLabel, bool]] = set()
+
+    def push(node: NodeLabel, via_head: bool) -> bool:
+        if node in b:
+            return True
+        if (node, via_head) not in visited:
+            visited.add((node, via_head))
+            queue.append((node, via_head))
+        return False
+
+    for start in a:
+        if (
+            any(push(c, True) for c in children[start])
+            or any(push(p, False) for p in parents[start])
+            or any(push(s, True) for s in siblings[start])
+        ):
+            return False
+    while queue:
+        node, via_head = queue.popleft()
+        chain = node not in z
+        if chain and any(push(c, True) for c in children[node]):
+            return False
+        if node in open_colliders if via_head else chain:
+            if any(push(p, False) for p in parents[node]) or any(
+                push(s, True) for s in siblings[node]
+            ):
+                return False
+    return True
+
+
+def oracle_amwn(kind: ScenarioKind, T: int) -> LabelGraph:
+    """The counterfactual network rebuilt on label sets: the simplified
+    factual graph plus a copy ``Yx_t`` of every outcome that some
+    treatment reaches, chained to the previous copy or factual outcome
+    and tied to its factual twin by a bidirected edge."""
+    base = build_trial_graph(kind, T, with_latents=False)
+    affected = oracle_descendants(base, {X(t) for t in range(1, T + 1)})
+    nodes, directed, bidirected = set(base.nodes), set(base.directed), set()
+    for t in range(1, T + 1):
+        if Y(t) not in affected:
+            continue
+        nodes.add(Yx(t))
+        bidirected.add(frozenset((Y(t), Yx(t))))
+        if t > 1:
+            directed.add((Yx(t - 1) if Y(t - 1) in affected else Y(t - 1), Yx(t)))
+    return LabelGraph(frozenset(nodes), frozenset(directed), frozenset(bidirected))
+
+
+def oracle_exchangeability_table(kind: ScenarioKind, T: int, regime: Regime) -> dict:
+    """Every (i, k) cell decided by its own m-separation query: of the
+    outcome's copy (or factual stand-in) from ``X(k)`` given ``X(<k)``
+    and ``Y(<=k)``, on the network of each deterministic component of
+    the regime, rebuilt per component."""
+    table = dict.fromkeys(
+        ((i, k) for i in range(1, T + 1) for k in range(1, T + 1)), True
+    )
+    for component in regime.components():
+        component.validate(T)
+        amwn = oracle_amwn(kind, T)
+        adjacency = _adjacency(amwn)
+        for i, k in table:
+            z = {X(t) for t in range(1, k)} | {Y(t) for t in range(1, k + 1)}
+            target = Yx(i) if Yx(i) in amwn.nodes else Y(i)
+            if target not in z and not _reach_separated(
+                adjacency, {target}, {X(k)}, z
+            ):
+                table[(i, k)] = False
+    return table
+
+
+def oracle_identification_report(g, kind: ScenarioKind, T: int) -> dict:
+    """Both do-calculus premises at every period of ``g``, on label-set
+    surgery, in the shape of ``PremiseReport.to_dict()``."""
+    confounders = {C} & g.nodes
+    treatments = {n for n in g.nodes if n.kind is NodeKind.TREATMENT}
+    periods = []
+    for k in range(1, T + 1):
+        bound = k if kind.treatment_first else k - 1
+        kept = {n for n in treatments if n.period <= bound}
+        dropped = treatments - kept
+        earlier = {Y(t) for t in range(1, k)}
+        clipped = oracle_mutilate(g, remove_outgoing=kept)
+        rule2 = oracle_reach_m_separated(clipped, {Y(k)}, kept, earlier | confounders)
+        partial = oracle_mutilate(g, remove_incoming=kept)
+        shielded = oracle_ancestors(partial, confounders)
+        final = oracle_mutilate(partial, remove_incoming=dropped - shielded)
+        rule3 = oracle_reach_m_separated(
+            final, {Y(k)}, dropped, kept | earlier | confounders
+        )
+        periods.append({"k": k, "rule2": rule2, "rule3": rule3})
+    return {
+        "scenario": kind.code,
+        "T": T,
+        "identified": all(p["rule2"] and p["rule3"] for p in periods),
+        "periods": periods,
+    }
 
 
 def random_admg(rng: random.Random, max_nodes: int = 12) -> Admg:

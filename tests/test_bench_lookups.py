@@ -1,13 +1,16 @@
-"""The library names the benchmark under ``bench/`` looks up.
+"""The library names and results the benchmark under ``bench/`` relies on.
 
-``bench/spans.py`` rebinds every ``TRACED`` function by name, and the
-workloads and their smoke tests read names off ``ttebench.harness``.
-A refactor that drops one of them breaks the benchmark, which tier-1
-does not run, so these tests read the bench files without changing
-them and check that every name still resolves.
+``bench/spans.py`` rebinds every ``TRACED`` function by name, the
+workloads and their smoke tests read names off ``ttebench.harness``,
+and the ``graph-checks`` workload compares its tables with
+``bench/seed_tables.json``. A refactor that drops one of the names or
+changes one of the tables breaks the benchmark, which tier-1 does not
+run, so these tests read the bench files without changing them and
+check that every name still resolves and every seed table still holds.
 """
 
 import ast
+import json
 import importlib
 import importlib.util
 from pathlib import Path
@@ -48,3 +51,19 @@ def test_harness_names_read_by_the_benchmark_resolve(filename):
     assert names, filename
     missing = sorted(name for name in names if not hasattr(harness, name))
     assert not missing, (filename, missing)
+
+
+@pytest.mark.parametrize("T", [4, 6])
+@pytest.mark.parametrize("code", ["A", "B"])
+def test_exchangeability_tables_match_the_benchmark_seed_tables(code, T):
+    scenarios = importlib.import_module("ttebench.scenarios")
+    seed = json.loads((BENCH / "seed_tables.json").read_text(encoding="utf-8"))
+    regime = scenarios.Regime.uniform_grace(3)
+    table = scenarios.exchangeability_table(
+        scenarios.ScenarioKind.from_code(code), T, regime
+    )
+    rows = seed[f"{code} {regime.describe()} T={T}"]
+    assert [
+        "".join(str(int(table[(i, k)])) for k in range(1, T + 1))
+        for i in range(1, T + 1)
+    ] == rows

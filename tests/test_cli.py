@@ -545,8 +545,84 @@ def test_export_graph_variants(tmp_path, capsys):
     graph = parse_dot(text)
     assert len(graph.bidirected) == 3
 
+    for regime in ("initiate_at(9)", "uniform_grace(7)"):
+        code, out, err = run_cli(
+            capsys,
+            "export-graph", "--scenario", "B", "--T", "2", "--variant", "amwn",
+            "--regime", regime,
+        )
+        assert code == 1 and out == "", regime
+        assert err.startswith("error: RegimeOutOfRange:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 # -------------------------------------------------------------- exit codes
+
+
+def _not_positive_int(text):
+    try:
+        return int(text) < 1
+    except ValueError:
+        return True
+
+
+_PARAM_COUNT_FLAGS = ("--control", "--subgroups", "--treat", "--c")
+
+#: Commands with one integer flag left open (``None``); every other
+#: argument is valid.
+_INT_FLAG_COMMANDS = [
+    ["check-identification", "--scenario", "A", "--T", None],
+    ["check-exchangeability", "--scenario", "B", "--T", None],
+    ["export-graph", "--scenario", "A", "--variant", "full", "--T", None],
+    ["export-graph", "--scenario", "B", "--variant", "amwn", "--T", None],
+    ["simulate", "--scenario", "A", "--n", None],
+] + [
+    ["param-count"] + [
+        arg for flag in _PARAM_COUNT_FLAGS
+        for arg in (flag, None if flag == open_flag else "2")
+    ]
+    for open_flag in _PARAM_COUNT_FLAGS
+]
+
+_malformed_int = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.sampled_from(["1.5", "", "three"]),
+    st.text(max_size=6).filter(_not_positive_int),
+)
+
+_bad_int_argv = st.tuples(st.sampled_from(_INT_FLAG_COMMANDS), _malformed_int).map(
+    lambda case: [case[1] if arg is None else arg for arg in case[0]]
+)
+
+#: Regimes whose parameter exceeds a small valid horizon. A large valid
+#: horizon is never drawn: the graphs have O(T^2) edges.
+_bad_regime_argv = st.builds(
+    lambda command, T, strategy, excess: [
+        *command, "--T", str(T), "--regime", f"{strategy}({T + excess})"
+    ],
+    st.sampled_from([
+        ["check-exchangeability", "--scenario", "A"],
+        ["export-graph", "--scenario", "B", "--variant", "amwn"],
+    ]),
+    st.integers(1, 4),
+    st.sampled_from(["initiate_at", "uniform_grace"]),
+    st.integers(1, 50),
+)
+
+
+@given(st.one_of(_bad_int_argv, _bad_regime_argv))
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_malformed_integer_flags_are_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1, argv
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_are_exit_1(capsys):

@@ -31,7 +31,15 @@ from ttebench.graphs import A as node_A
 from ttebench.graphs import B as node_B
 from ttebench.graphs import C as node_C
 
-from ._oracles import oracle_m_separated, random_admg, random_query
+from ._oracles import (
+    oracle_ancestors,
+    oracle_descendants,
+    oracle_m_separated,
+    oracle_mutilate,
+    oracle_reach_m_separated,
+    random_admg,
+    random_query,
+)
 
 SCEN_A = ScenarioKind.from_code("A")
 SCEN_B = ScenarioKind.from_code("B")
@@ -180,6 +188,28 @@ def test_mutilate_never_adds_edges_property():
         assert cut.nodes == g.nodes
 
 
+def test_mutilate_matches_label_set_surgery_property():
+    """A mutilated graph is never re-validated; its edge sets, queries,
+    equality and hash must still match a graph rebuilt from labels."""
+    rng = random.Random(13)
+    for _ in range(60):
+        g = random_admg(rng)
+        nodes = sorted(g.nodes, key=lambda n: n.sort_key)
+        rin = {n for n in nodes if rng.random() < 0.3}
+        rout = {n for n in nodes if rng.random() < 0.3}
+        cut = mutilate(g, remove_incoming=rin, remove_outgoing=rout)
+        want = oracle_mutilate(g, rin, rout)
+        assert (cut.nodes, cut.directed, cut.bidirected) == tuple(want)
+        rebuilt = build_graph(*want)
+        assert cut == rebuilt and hash(cut) == hash(rebuilt)
+        assert to_dot(cut) == to_dot(rebuilt)
+        a, b, z = random_query(rng, g)
+        assert m_separated(cut, a, b, z) == oracle_m_separated(want, a, b, z)
+        assert ancestors(cut, a) == oracle_ancestors(want, a)
+    g = build_trial_graph(SCEN_B, 3)
+    assert mutilate(g) == g and mutilate(g) != mutilate(g, {X(1)})
+
+
 def test_mutilate_rejects_unknown_nodes():
     g = build_trial_graph(SCEN_A, 2, with_latents=False)
     with pytest.raises(UnknownNode):
@@ -243,13 +273,17 @@ def test_m_separation_agrees_with_path_oracle_on_random_graphs():
     for _ in range(120):
         g = random_admg(rng)
         a, b, z = random_query(rng, g)
-        assert m_separated(g, a, b, z) == oracle_m_separated(g, a, b, z), (
+        want = oracle_m_separated(g, a, b, z)
+        assert m_separated(g, a, b, z) == want, (
             g.directed,
             g.bidirected,
             a,
             b,
             z,
         )
+        assert oracle_reach_m_separated(g, a, b, z) == want
+        assert ancestors(g, a | z) == oracle_ancestors(g, a | z)
+        assert descendants(g, b | z) == oracle_descendants(g, b | z)
 
 
 def test_bidirected_edges_equal_explicit_latent_parents():
