@@ -72,11 +72,18 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
-def hash_key_array(parts: Iterable[int | np.ndarray]) -> np.ndarray:
-    """Vectorized :func:`hash_key`; parts may mix ints and uint64 arrays."""
+def hash_key_array(
+    parts: Iterable[int | np.ndarray], prefix: int | np.ndarray = 0
+) -> np.ndarray:
+    """Vectorized :func:`hash_key`; parts may mix ints and uint64 arrays.
+
+    ``prefix`` is the hash of key parts folded before ``parts``, so
+    ``hash_key_array(b, hash_key_array(a))`` equals
+    ``hash_key_array(a + b)``: a shared key prefix is hashed once.
+    """
     # Unsigned 64-bit wraparound is the intended arithmetic here, so
     # overflow reporting is suppressed for the fold.
-    h: np.ndarray = np.zeros((), dtype=np.uint64)
+    h = np.asarray(prefix, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for p in parts:
             if isinstance(p, np.ndarray):
@@ -87,6 +94,8 @@ def hash_key_array(parts: Iterable[int | np.ndarray]) -> np.ndarray:
     return np.asarray(h, dtype=np.uint64)
 
 
-def uniform_array(parts: Iterable[int | np.ndarray]) -> np.ndarray:
-    """Vectorized :func:`uniform`."""
-    return (hash_key_array(parts) >> _U11).astype(np.float64) * _INV53
+def uniform_array(
+    parts: Iterable[int | np.ndarray], prefix: int | np.ndarray = 0
+) -> np.ndarray:
+    """Vectorized :func:`uniform`, with :func:`hash_key_array`'s ``prefix``."""
+    return (hash_key_array(parts, prefix) >> _U11).astype(np.float64) * _INV53

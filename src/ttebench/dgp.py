@@ -36,9 +36,11 @@ from typing import Callable, Final, Iterable, Iterator, Mapping, TextIO
 import numpy as np
 
 from ._rng import (
+    _MASK,
     SLOT_OUTCOME,
     SLOT_TREATMENT,
     STREAM_SAMPLE,
+    hash_key_array,
     uniform_array,
 )
 from .errors import SupportTooLarge, check_positive_int
@@ -288,7 +290,9 @@ def _distinct_rows(
     cells coded as in :class:`Cohort`, the distinct row of each row, and
     the rows per distinct row. Distinct rows are ordered by an int64 code
     (treated periods, then periods survived, then periods with ``u``), or
-    as opaque bytes when the code would overflow."""
+    as opaque bytes when the code would overflow. A code space no larger
+    than the rows (or 2^12) is tallied with ``bincount`` instead of
+    sorted."""
     T = x.shape[1]
     if 3 * T > 63:
         codes = np.hstack([x, y]).view(np.dtype((np.void, 2 * T))).ravel()
@@ -296,10 +300,34 @@ def _distinct_rows(
         bits = np.int64(1) << np.arange(T)
         treated, alive, unclear = (x == 1) @ bits, (y == 0) @ bits, (x == -1) @ bits
         codes = (treated << 2 * T) | (alive << T) | unclear
+        if 1 << 3 * T <= max(codes.size, 1 << 12):
+            count = np.bincount(codes, minlength=1 << 3 * T)
+            distinct = np.flatnonzero(count)
+            index = np.empty(count.size, dtype=np.intp)
+            index[distinct] = np.arange(distinct.size)
+            inverse = index[codes]
+            first = np.full(distinct.size, codes.size)
+            np.minimum.at(first, inverse, np.arange(codes.size))
+            return first, inverse, count[distinct]
     _, first, inverse, count = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
     return first, inverse, count
+
+
+def _batch_rows(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows ``(S, T)`` of R samples' ``(R, n, T)`` arrays, in
+    :func:`_distinct_rows`' order, and the ``(R, S)`` patient count of
+    each row in each sample. One sample's own distinct rows are the ones
+    it counts, in the same order."""
+    R, n, T = x.shape
+    first, inverse, _ = _distinct_rows(x.reshape(R * n, T), y.reshape(R * n, T))
+    S = first.size
+    cells = inverse.reshape(R, n) + S * np.arange(R)[:, None]
+    count = np.bincount(cells.ravel(), minlength=R * S).reshape(R, S)
+    return x.reshape(R * n, T)[first], y.reshape(R * n, T)[first], count
 
 
 def _trajectories(x: np.ndarray, y: np.ndarray) -> tuple[Trajectory, ...]:
@@ -358,39 +386,45 @@ class TrajectoryCounts:
         return cls(cohort.x[first], cohort.y[first], count, weight, cohort.scenario)
 
 
-def _sample_arrays(
-    dgp: DgpTable, kind: ScenarioKind, n: int, seed: int
+def _sample_batch(
+    dgp: DgpTable, kind: ScenarioKind, n: int, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-patient int8 arrays ``x`` and ``y`` of shape (n, T); ``x`` is
-    -1 where the treatment is unobservable."""
+    """Int8 arrays ``x`` and ``y`` of shape (R, n, T), row r sampled with
+    the uint64 seed ``seeds[r]``; ``x`` is -1 where the treatment is
+    unobservable.
+
+    Every draw is keyed by (seed, stream, patient, period, slot). The
+    (seed, stream, patient) prefix is hashed once for all periods, and
+    its fold with the period once for both slots.
+    """
     check_positive_int("n", n)
     T = dgp.T
-    ids = np.arange(n, dtype=np.uint64)
-    x = np.full((n, T), -1, dtype=np.int8)
-    y = np.ones((n, T), dtype=np.int8)
-    alive = np.ones(n, dtype=bool)
-    code = np.zeros(n, dtype=np.int64)
+    prefix = hash_key_array(
+        [seeds[:, None], STREAM_SAMPLE, np.arange(n, dtype=np.uint64)]
+    )
+    lag = 0 if kind.treatment_first else 1
+    hazard = [_prob_array(dgp.hazard, k, k - lag) for k in range(1, T + 1)]
+    propensity = [_prob_array(dgp.propensity, k, k - 1) for k in range(1, T + 1)]
+    x = np.empty(prefix.shape + (T,), dtype=np.int8)
+    y = np.empty(prefix.shape + (T,), dtype=np.int8)
+    alive = np.ones(prefix.shape, dtype=bool)
+    code = np.zeros(prefix.shape, dtype=np.int64)
     for k in range(1, T + 1):
-        u_out = uniform_array([seed, STREAM_SAMPLE, ids, k, SLOT_OUTCOME])
-        u_trt = uniform_array([seed, STREAM_SAMPLE, ids, k, SLOT_TREATMENT])
+        period = hash_key_array([k], prefix)
+        u_out = uniform_array([SLOT_OUTCOME], period)
+        u_trt = uniform_array([SLOT_TREATMENT], period)
         if kind.treatment_first:
-            p_trt = _prob_array(dgp.propensity, k, k - 1)[code]
-            treated = alive & (u_trt < p_trt)
-            x[alive, k - 1] = treated[alive].astype(np.int8)
-            code = code + (treated.astype(np.int64) << (k - 1))
-            p_out = _prob_array(dgp.hazard, k, k)[code]
-            died = alive & (u_out < p_out)
-            y[alive & ~died, k - 1] = 0
-            alive = alive & ~died
+            observed = alive
+            treated = alive & (u_trt < propensity[k - 1][code])
+            code |= treated.astype(np.int64) << (k - 1)
+            alive = alive & ~(u_out < hazard[k - 1][code])
         else:
-            p_out = _prob_array(dgp.hazard, k, k - 1)[code]
-            died = alive & (u_out < p_out)
-            y[alive & ~died, k - 1] = 0
-            alive = alive & ~died
-            p_trt = _prob_array(dgp.propensity, k, k - 1)[code]
-            treated = alive & (u_trt < p_trt)
-            x[alive, k - 1] = treated[alive].astype(np.int8)
-            code = code + (treated.astype(np.int64) << (k - 1))
+            alive = alive & ~(u_out < hazard[k - 1][code])
+            observed = alive
+            treated = alive & (u_trt < propensity[k - 1][code])
+            code |= treated.astype(np.int64) << (k - 1)
+        x[..., k - 1] = np.where(observed, treated, -1)
+        y[..., k - 1] = ~alive
     return x, y
 
 
@@ -402,8 +436,8 @@ def sample_cohort(dgp: DgpTable, kind: ScenarioKind, n: int, seed: int) -> Cohor
     inputs give bitwise-identical cohorts and patient i's trajectory
     does not depend on n.
     """
-    x, y = _sample_arrays(dgp, kind, n, seed)
-    return Cohort(x, y, kind, seed)
+    x, y = _sample_batch(dgp, kind, n, np.array([seed & _MASK], dtype=np.uint64))
+    return Cohort(x[0], y[0], kind, seed)
 
 
 def enumerate_distribution(

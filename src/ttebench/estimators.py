@@ -34,19 +34,28 @@ All weights use survivor-conditioned treatment probabilities
 period's survivors rather than its entrants is precisely what the
 lagged convention turns into bias.
 
-Both estimators run on one representation: the cohort's distinct
-trajectories with their patient counts and summed patient weights
-(:class:`~ttebench.dgp.TrajectoryCounts`), a sufficient statistic for
-every stratum and risk set. Sampled cohorts, CSV cohorts and the exact
-population limit (:func:`ccw_asymptotic`) all go through it.
+Both estimators run on one representation: distinct trajectories with
+their patient counts and summed patient weights, a sufficient statistic
+for every stratum and risk set. The core takes R samples at once over
+S distinct rows they share, with ``(R, S)`` count and weight matrices
+(a row a sample lacks has count 0); :mod:`ttebench.harness` feeds it a
+chunk of bias-study replicates. The public functions are the R = 1
+case: a sampled or CSV cohort (:class:`~ttebench.dgp.TrajectoryCounts`)
+and the exact population limit (:func:`ccw_asymptotic`) all go through
+the same code.
 
 Only the strata along a regime's path enter either estimator, so each
-path is fitted on its own: four length-T arrays summed over boolean
-``(S, T)`` masks of the S distinct rows. That costs O(S·T) whatever
-the horizon, where a table of every observed history grows with the
-distinct histories; on a 40-period, 3000-patient cohort with about
-850 distinct trajectories npmle takes about 3 ms and current-period
-CCW 3-4 ms.
+path is fitted on its own: one mask pass over the ``(S, T)`` distinct
+rows and four sums per sample and period, shared by every estimator of
+the batch. The sums add the rows in order, so a sample's estimates are
+bit-identical whether it is estimated alone or in a batch. Each
+sample's first failure (an empty stratum or risk set, with its period,
+history, role or arm) is kept in masks; a batch reports the failed
+samples as missing, the R = 1 functions raise it. That costs O(S·T)
+whatever the horizon, where a table of every observed history grows
+with the distinct histories; on a 40-period, 3000-patient cohort with
+about 850 distinct trajectories npmle takes about 3 ms and
+current-period CCW 3-4 ms.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import csv
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import json
 
@@ -138,31 +147,94 @@ def _patient_weights(cohort: Cohort, weights) -> np.ndarray | None:
     return w
 
 
-def _as_counts(data: CohortData, weights) -> TrajectoryCounts:
-    """Collapse the input into distinct trajectories, patient counts and
-    summed weights, the one representation the estimators run on."""
+class _Rows(NamedTuple):
+    """R samples over S shared distinct trajectories: ``x``/``y`` are
+    ``(S, T)`` rows, ``count`` and ``weight`` the ``(R, S)`` patients
+    and summed patient weight of each row in each sample. A row with
+    count 0 is absent from that sample."""
+
+    x: np.ndarray
+    y: np.ndarray
+    count: np.ndarray
+    weight: np.ndarray
+
+
+def _rows(data: CohortData, weights) -> _Rows:
+    """The input as one sample (R = 1): a cohort collapsed into its
+    distinct trajectories, patient counts and summed weights."""
     if isinstance(data, TrajectoryCounts):
         if weights is not None:
             raise ValueError(
                 "weights are per patient; pass a Cohort, not TrajectoryCounts"
             )
-        return data
-    return TrajectoryCounts.from_cohort(data, _patient_weights(data, weights))
+        counts = data
+    else:
+        counts = TrajectoryCounts.from_cohort(data, _patient_weights(data, weights))
+    if not counts.count.size:
+        raise ValueError("cohort is empty")
+    return _Rows(counts.x, counts.y, counts.count[None], counts.weight[None])
 
 
-def _path_masks(
-    counts: TrajectoryCounts, path: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean ``(S, T)`` masks of the distinct rows: at risk in period
-    k (alive entering it, having followed ``path`` through k-1), alive
-    at its end, and treated in it as ``path`` is."""
-    alive = counts.y == 0
-    on_path = counts.x == np.asarray(path, dtype=np.int8)
+class _Failures:
+    """The first estimation failure of each of R samples.
+
+    Checks are added in the order a single-sample estimator would raise
+    them; each is an ``(R, T)`` mask of failing periods and a function
+    from the failing period to the error.
+    """
+
+    def __init__(self, R: int):
+        self.check = np.full(R, -1)
+        self.period = np.zeros(R, dtype=np.int64)
+        self.errors: list[Callable[[int], Exception]] = []
+
+    def add(self, failed: np.ndarray, error: Callable[[int], Exception]) -> None:
+        new = failed.any(axis=1) & (self.check < 0)
+        if new.any():
+            self.check[new] = len(self.errors)
+            self.period[new] = failed[new].argmax(axis=1) + 1
+        self.errors.append(error)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.check < 0
+
+    def raise_first(self, r: int = 0) -> None:
+        """Raise sample ``r``'s first failure, if it has one."""
+        if self.check[r] >= 0:
+            raise self.errors[self.check[r]](int(self.period[r]))
+
+
+class _PathFit(NamedTuple):
+    """One treatment path's ``(S, T)`` row masks (at risk in period k,
+    alive at its end, treated in it as the path is) and the ``(R, 4, T)``
+    sums of :class:`StratumTable`'s four arrays."""
+
+    at_risk: np.ndarray
+    alive: np.ndarray
+    on_path: np.ndarray
+    sums: np.ndarray
+
+
+def _fit_path(rows: _Rows, kind: ScenarioKind, path: tuple[int, ...]) -> _PathFit:
+    """Mask the rows along ``path`` once and sum every sample's counts."""
+    alive = rows.y == 0
+    on_path = rows.x == np.asarray(path, dtype=np.int8)
     at_risk = np.ones_like(alive)
     np.logical_and.accumulate(
         alive[:, :-1] & on_path[:, :-1], axis=1, out=at_risk[:, 1:]
     )
-    return at_risk, alive, on_path
+    survivors = at_risk & alive
+    hazard_set = at_risk & on_path if kind.treatment_first else at_risk
+    cells = np.array((
+        hazard_set & ~alive, hazard_set, survivors & (rows.x == 1), survivors,
+    )).transpose(1, 0, 2)
+    # Rows are added in order, as one sum per (sample, table, period); a
+    # row a sample lacks adds an exact 0.0.
+    sums = np.where(
+        cells[:, None], rows.weight.T[:, :, None, None], 0.0
+    ).sum(axis=0)
+    return _PathFit(at_risk, alive, on_path, sums)
 
 
 def fit_strata(
@@ -183,25 +255,14 @@ def fit_strata(
     reproduce the generating table along the path exactly, which is how
     the population-level oracles are built.
     """
-    counts = _as_counts(cohort, weights)
-    if not counts.count.size:
-        raise ValueError("cohort is empty")
+    rows = _rows(cohort, weights)
+    T = rows.x.shape[1]
     path = tuple(path)
-    if len(path) != counts.T or not set(path) <= {0, 1}:
+    if len(path) != T or not set(path) <= {0, 1}:
         raise ValueError(
-            f"path must hold the 0/1 treatments of {counts.T} periods, "
-            f"got {path}"
+            f"path must hold the 0/1 treatments of {T} periods, got {path}"
         )
-    at_risk, alive, on_path = _path_masks(counts, path)
-    survivors = at_risk & alive
-    if kind.treatment_first:
-        at_risk &= on_path
-    cells = np.array((
-        at_risk & ~alive, at_risk, survivors & (counts.x == 1), survivors,
-    ))
-    # Rows are added in order, as one sum per (table, period).
-    sums = np.where(cells, counts.weight[:, None], 0.0).sum(axis=1)
-    return StratumTable(path, *sums)
+    return StratumTable(path, *_fit_path(rows, kind, path).sums[0])
 
 
 @dataclass(frozen=True)
@@ -226,33 +287,69 @@ class AteEstimate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _arm_path(regime: Regime, T: int) -> tuple[int, ...]:
-    """The treatment path of a deterministic regime over periods 1..T."""
+def _check_ccw_regime(regime: Regime) -> None:
     if not regime.is_deterministic:
         raise ValueError(
             "grace-period regimes are not supported by cloning-censoring-"
             "weighting; use npmle_ate"
         )
+
+
+def _arm_path(regime: Regime, T: int) -> tuple[int, ...]:
+    """The treatment path of a deterministic regime over periods 1..T."""
+    _check_ccw_regime(regime)
     regime.validate(T)
     return tuple(regime.treatment_at(t) for t in range(1, T + 1))
 
 
-def _plugin_curve(
-    counts: TrajectoryCounts, kind: ScenarioKind, regime: Regime
-) -> list[float]:
-    T = counts.T
-    if not regime.is_deterministic:
-        curves = [
-            _plugin_curve(counts, kind, comp) for comp in regime.components()
-        ]
-        return [sum(c[k] for c in curves) / len(curves) for k in range(T)]
-    path = _arm_path(regime, T)
-    table = fit_strata(counts, kind, path)
-    defined = table.hazard_den > 0.0
-    if not defined.all():
-        k = int(np.flatnonzero(~defined)[0]) + 1
-        raise EmptyStratum(k, kind.hazard_history(path, k), role="hazard")
-    return np.cumprod(1.0 - table.hazard_num / table.hazard_den).tolist()
+def _fit_paths(
+    rows: _Rows, kind: ScenarioKind, regimes: Sequence[Regime]
+) -> dict[tuple[int, ...], _PathFit]:
+    """Every path of the regimes' deterministic components, fitted once
+    for all the estimators of a batch."""
+    T = rows.x.shape[1]
+    paths = {_arm_path(c, T) for regime in regimes for c in regime.components()}
+    return {path: _fit_path(rows, kind, path) for path in paths}
+
+
+def _npmle_batch(
+    rows: _Rows,
+    kind: ScenarioKind,
+    treat: Regime,
+    control: Regime,
+    fits: dict[tuple[int, ...], _PathFit],
+) -> tuple[np.ndarray, np.ndarray, _Failures]:
+    """Each sample's plug-in survival curves ``(R, T)`` of both arms, and
+    its first empty hazard stratum. A grace-period regime averages the
+    curves of its initiation components."""
+    T = rows.x.shape[1]
+    failures = _Failures(rows.count.shape[0])
+    curves = []
+    for regime in (treat, control):
+        components = regime.components()
+        total = 0.0
+        for component in components:
+            path = _arm_path(component, T)
+            num, den = fits[path].sums[:, :2].transpose(1, 0, 2)
+            failures.add(~(den > 0.0), lambda k, path=path: EmptyStratum(
+                k, kind.hazard_history(path, k), role="hazard"
+            ))
+            total = total + np.cumprod(1.0 - num / den, axis=1)
+        curves.append(total / len(components))
+    return curves[0], curves[1], failures
+
+
+def _npmle_curves(
+    data: CohortData, kind: ScenarioKind, treat: Regime, control: Regime, weights
+) -> tuple[list[float], list[float]]:
+    """Both arms' plug-in curves of one cohort (R = 1)."""
+    rows = _rows(data, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_treat, s_control, failures = _npmle_batch(
+            rows, kind, treat, control, _fit_paths(rows, kind, (treat, control))
+        )
+    failures.raise_first()
+    return s_treat[0].tolist(), s_control[0].tolist()
 
 
 def npmle_ate(
@@ -301,16 +398,15 @@ def npmle_ate(
             if share == 0.0:
                 continue
             sub = Cohort(cohort.x[idx], cohort.y[idx], cohort.scenario)
-            sub_counts = _as_counts(sub, [w[i] for i in idx])
-            for k, v in enumerate(_plugin_curve(sub_counts, kind, treat)):
-                curve_t[k] += share * v
-            for k, v in enumerate(_plugin_curve(sub_counts, kind, control)):
-                curve_c[k] += share * v
+            level_t, level_c = _npmle_curves(
+                sub, kind, treat, control, [w[i] for i in idx]
+            )
+            for k in range(T):
+                curve_t[k] += share * level_t[k]
+                curve_c[k] += share * level_c[k]
         s_treat, s_control = curve_t, curve_c
     else:
-        counts = _as_counts(cohort, weights)
-        s_treat = _plugin_curve(counts, kind, treat)
-        s_control = _plugin_curve(counts, kind, control)
+        s_treat, s_control = _npmle_curves(cohort, kind, treat, control, weights)
     return AteEstimate(
         survival_treat=tuple(s_treat),
         survival_control=tuple(s_control),
@@ -343,47 +439,53 @@ class CloneRow:
 
 
 def _clone_arm(
-    counts: TrajectoryCounts,
-    kind: ScenarioKind,
+    rows: _Rows,
+    fit: _PathFit,
     path: tuple[int, ...],
     weight_convention: WeightConvention,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One arm's clones as ``(S, T)`` arrays over the distinct rows:
-    at risk, event, censored now, and the weight per unit of patient
-    weight (0 where not at risk).
+    failures: _Failures,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One arm's clones over the distinct rows: the ``(S, T)`` event and
+    censored-now masks, and the ``(S, R, T)`` weight per unit of patient
+    weight (0 where not at risk) in each sample. A sample that lacks a
+    needed propensity stratum gets a failure.
 
     A clone uncensored entering period k followed ``path`` through k-1,
     so its running weight is one number per period: the product of the
     factors ``1/q_j`` for j < k, with ``q_j`` the survivor-estimated
     probability of the path's period-j treatment.
     """
-    table = fit_strata(counts, kind, path)
     target = np.asarray(path, dtype=np.int8)
-    at_risk, alive, on_path = _path_masks(counts, path)
-    event = at_risk & ~alive
-    censored = at_risk & (counts.x == 1 - target)
+    at_risk = fit.at_risk
+    event = at_risk & ~fit.alive
+    censored = at_risk & (rows.x == 1 - target)
     current = weight_convention is WeightConvention.CURRENT_PERIOD
     # Period k's factor is needed by a clone that continues past k and,
     # under the current-period convention, by one treated as the path.
-    needed = (at_risk & alive & ~censored).any(axis=0)
+    needs = at_risk & fit.alive & ~censored
     if current:
-        on_path &= at_risk
-        needed |= on_path.any(axis=0)
-    defined = table.propensity_den > 0.0
-    q = table.propensity_num / np.where(defined, table.propensity_den, 1.0)
+        on_path = fit.on_path & at_risk
+        needs |= on_path
+    needed = rows.count @ needs > 0
+    _, _, propensity_num, propensity_den = fit.sums.transpose(1, 0, 2)
+    defined = propensity_den > 0.0
+    q = propensity_num / np.where(defined, propensity_den, 1.0)
     prob = np.where(target == 1, q, 1.0 - q)
-    missing = needed & ~(defined & (prob > 0.0))
-    if missing.any():
-        k = int(np.flatnonzero(missing)[0]) + 1
-        raise EmptyStratum(k, path[: k - 1], role="propensity")
+    failures.add(
+        needed & ~(defined & (prob > 0.0)),
+        lambda k: EmptyStratum(k, path[: k - 1], role="propensity"),
+    )
     # No clone reaches past a factor it does not need, so 1 stands in.
-    through = np.cumprod(1.0 / np.where(needed, prob, 1.0))
-    lagged = np.concatenate(([1.0], through[:-1]))
+    through = np.cumprod(1.0 / np.where(needed, prob, 1.0), axis=1)
+    lagged = np.ones_like(through)
+    lagged[:, 1:] = through[:, :-1]
     if current:
-        unit = np.where(on_path, through, np.where(censored, 0.0, lagged))
+        unit = np.where(
+            on_path[:, None], through, np.where(censored[:, None], 0.0, lagged)
+        )
     else:
         unit = lagged
-    return at_risk, event, censored, np.where(at_risk, unit, 0.0)
+    return event, censored, np.where(at_risk[:, None], unit, 0.0)
 
 
 def clone_rows(
@@ -402,10 +504,18 @@ def clone_rows(
     """
     path = _arm_path(regime, cohort.T)
     w = _patient_weights(cohort, weights)
-    counts = TrajectoryCounts.from_cohort(cohort, w)
-    arm = _clone_arm(counts, kind, path, weight_convention)
+    rows = _rows(TrajectoryCounts.from_cohort(cohort, w), None)
+    fit = _fit_path(rows, kind, path)
+    failures = _Failures(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        event, censored, unit = _clone_arm(
+            rows, fit, path, weight_convention, failures
+        )
+    failures.raise_first()
     _, row_of, _ = _distinct_rows(cohort.x, cohort.y)
-    at_risk, event, censored, unit = (a[row_of] for a in arm)
+    at_risk, event, censored, unit = (
+        a[row_of] for a in (fit.at_risk, event, censored, unit[:, 0])
+    )
     if w is not None:
         unit = unit * w[:, None]
     return [
@@ -415,6 +525,51 @@ def clone_rows(
         ))
         for t, cell in enumerate(zip(*patient), start=1)
     ]
+
+
+class _Arm(NamedTuple):
+    """One CCW arm of R samples: ``(R, T)`` survival, weighted risk set,
+    weighted events and hazard, and patients at risk."""
+
+    survival: np.ndarray
+    weighted_at_risk: np.ndarray
+    weighted_events: np.ndarray
+    hazard: np.ndarray
+    n_at_risk: np.ndarray
+
+
+def _ccw_batch(
+    rows: _Rows,
+    kind: ScenarioKind,
+    treat: Regime,
+    control: Regime,
+    weight_convention: WeightConvention,
+    fits: dict[tuple[int, ...], _PathFit],
+) -> tuple[_Arm, _Arm, _Failures]:
+    """Both CCW arms of every sample, and each sample's first failure:
+    an empty propensity stratum or an empty risk set, arm by arm."""
+    T = rows.x.shape[1]
+    paths = [_arm_path(regime, T) for regime in (treat, control)]
+    failures = _Failures(rows.count.shape[0])
+    arms = []
+    for regime, path in zip((treat, control), paths):
+        path_fit = fits[path]
+        event, _, unit = _clone_arm(
+            rows, path_fit, path, weight_convention, failures
+        )
+        mass = unit * rows.weight.T[:, :, None]
+        # Sums over the rows in order, as for the fit.
+        den = mass.sum(axis=0)
+        num = np.where(event[:, None], mass, 0.0).sum(axis=0)
+        failures.add(
+            den <= 0.0, lambda k, arm=regime.describe(): NoAtRiskRows(arm, k)
+        )
+        hazard = num / den
+        arms.append(_Arm(
+            np.cumprod(1.0 - hazard, axis=1), den, num, hazard,
+            rows.count @ path_fit.at_risk,
+        ))
+    return arms[0], arms[1], failures
 
 
 def ccw_ate(
@@ -435,39 +590,36 @@ def ccw_ate(
     straight from the distinct trajectories; :func:`clone_rows` lists
     the same rows per patient.
     """
-    counts = _as_counts(cohort, weights)
-    curves: dict[str, list[float]] = {}
+    for regime in (treat, control):
+        _arm_path(regime, cohort.T)
+    rows = _rows(cohort, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arms = _ccw_batch(
+            rows, kind, treat, control, weight_convention,
+            _fit_paths(rows, kind, (treat, control)),
+        )
+    arms[2].raise_first()
     diagnostics: dict = {
         "method": "ccw",
         "weight_convention": weight_convention.value,
-        "arms": {},
-    }
-    for name, regime in (("treat", treat), ("control", control)):
-        path = _arm_path(regime, counts.T)
-        at_risk, event, _, unit = _clone_arm(
-            counts, kind, path, weight_convention
-        )
-        mass = unit * counts.weight[:, None]
-        den = mass.sum(axis=0)
-        num = np.where(event, mass, 0.0).sum(axis=0)
-        empty = den <= 0.0
-        if empty.any():
-            raise NoAtRiskRows(
-                regime.describe(), int(np.flatnonzero(empty)[0]) + 1
+        "arms": {
+            name: {
+                "regime": regime.describe(),
+                "n_at_risk": arm.n_at_risk[0].tolist(),
+                "weighted_at_risk": arm.weighted_at_risk[0].tolist(),
+                "weighted_events": arm.weighted_events[0].tolist(),
+                "hazard": arm.hazard[0].tolist(),
+            }
+            for name, regime, arm in zip(
+                ("treat", "control"), (treat, control), arms
             )
-        hazard = num / den
-        curves[name] = np.cumprod(1.0 - hazard).tolist()
-        diagnostics["arms"][name] = {
-            "regime": regime.describe(),
-            "n_at_risk": (counts.count @ at_risk).tolist(),
-            "weighted_at_risk": den.tolist(),
-            "weighted_events": num.tolist(),
-            "hazard": hazard.tolist(),
-        }
+        },
+    }
+    s_treat, s_control = arms[0].survival[0].tolist(), arms[1].survival[0].tolist()
     return AteEstimate(
-        survival_treat=tuple(curves["treat"]),
-        survival_control=tuple(curves["control"]),
-        ate=curves["treat"][-1] - curves["control"][-1],
+        survival_treat=tuple(s_treat),
+        survival_control=tuple(s_control),
+        ate=s_treat[-1] - s_control[-1],
         diagnostics=diagnostics,
     )
 

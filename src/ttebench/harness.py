@@ -5,12 +5,25 @@ built-in generating process, runs the selected estimators on each,
 and summarizes the per-replicate errors against the closed-form true
 effect with a percentile bootstrap.
 
+Replicates are not run one by one. A chunk of them is sampled in one
+keyed pass (:func:`ttebench.dgp._sample_batch`), collapsed to the
+distinct trajectories of the whole chunk with an ``(R, S)`` matrix of
+each replicate's patient counts, and estimated as one batch of
+``(R, T)`` array operations (:mod:`ttebench.estimators`), with each
+replicate's first failure kept as a mask. A chunk holds whole
+replicates up to ``_CHUNK_PATIENTS`` patients, so memory stays bounded
+however many replicates a study has. The sums add each replicate's rows
+in the same order as a single-cohort estimate, so every estimate is
+bit-identical to :func:`~ttebench.estimators.npmle_ate` or
+:func:`~ttebench.estimators.ccw_ate` on that replicate's cohort.
+
 Everything is deterministic given the configuration: replicate seeds
 are a fixed 64-bit mix of (master seed, replicate index), bootstrap
 resampling uses an independent counter-based substream, and the report
-JSON is byte-identical regardless of how many worker processes ran the
-replicates (the ``TTEBENCH_WORKERS`` environment variable; default
-serial).
+JSON is byte-identical regardless of the chunk size or of how many
+worker processes ran the replicates (the ``TTEBENCH_WORKERS``
+environment variable; default serial). Each worker gets one contiguous
+range of replicates and runs it in chunks, as the serial path does.
 
 The bootstrap resamples the vector of replicate-level errors (estimate
 minus truth) rather than patient-level data: the mean of resampled
@@ -30,15 +43,25 @@ from typing import Mapping
 
 import numpy as np
 
-from ._rng import STREAM_BOOTSTRAP, STREAM_REPLICATE, hash_key, uniform_array
-from .dgp import TrajectoryCounts, default_dgp, sample_cohort, true_ate
-from .errors import (
-    AllReplicatesFailed,
-    EmptyStratum,
-    NoAtRiskRows,
-    check_positive_int,
+from ._rng import (
+    STREAM_BOOTSTRAP,
+    STREAM_REPLICATE,
+    hash_key_array,
+    uniform_array,
 )
-from .estimators import WeightConvention, ccw_ate, npmle_ate
+from .dgp import _batch_rows, _sample_batch, default_dgp, true_ate
+from .errors import AllReplicatesFailed, check_positive_int
+# ``ccw_ate`` is not used here, but the benchmark's smoke tests read it
+# as ``harness.ccw_ate``.
+from .estimators import (  # noqa: F401
+    WeightConvention,
+    ccw_ate,
+    _Rows,
+    _ccw_batch,
+    _check_ccw_regime,
+    _npmle_batch,
+    _fit_paths,
+)
 from .scenarios import Regime, ScenarioKind
 
 __all__ = [
@@ -99,6 +122,9 @@ class StudyConfig:
                 )
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("estimators contains duplicates")
+        if "ccw" in self.estimators:
+            _check_ccw_regime(self.treat)
+            _check_ccw_regime(self.control)
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
@@ -226,31 +252,48 @@ class BiasReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _replicate_worker(args: tuple) -> tuple[int, dict[str, float | None]]:
-    """Run all selected estimators on one simulated cohort.
+#: Patients sampled at once: a range of replicates is run in chunks of
+#: this many patients' worth of whole replicates (at least one), which
+#: keeps the sampler's arrays to a few tens of MB.
+_CHUNK_PATIENTS = 1 << 18
 
-    The cohort is sampled and collapsed once to its distinct-trajectory
-    counts, which every estimator reads. Top-level and fed only picklable
-    objects so it can cross a process boundary; results are returned
-    with the replicate index so aggregation is order-independent.
+
+def _run_range(task: tuple) -> dict[str, list[float | None]]:
+    """Estimates of a contiguous range of replicates, per estimator.
+
+    Each chunk of replicates is sampled in one keyed pass, collapsed to
+    its distinct trajectories with an ``(R, S)`` count matrix and
+    estimated as one batch; every treatment path is fitted once for all
+    estimators. Failed replicates give ``None``. Top-level and fed only
+    picklable objects, so that a worker process can run it.
     """
-    (index, kind, dgp, n_patients, seed, estimators,
-     convention, treat, control) = args
-    counts = TrajectoryCounts.from_cohort(
-        sample_cohort(dgp, kind, n_patients, seed)
-    )
-    out: dict[str, float | None] = {}
-    for name in estimators:
-        try:
-            if name == "npmle":
-                out[name] = npmle_ate(counts, kind, treat, control).ate
-            else:
-                out[name] = ccw_ate(
-                    counts, kind, treat, control, convention
-                ).ate
-        except (EmptyStratum, NoAtRiskRows):
-            out[name] = None
-    return index, out
+    (kind, dgp, n_patients, master_seed, start, stop, estimators,
+     convention, treat, control) = task
+    out: dict[str, list[float | None]] = {name: [] for name in estimators}
+    step = max(1, _CHUNK_PATIENTS // n_patients)
+    for lo in range(start, stop, step):
+        replicates = np.arange(lo, min(lo + step, stop), dtype=np.uint64)
+        seeds = hash_key_array([master_seed, STREAM_REPLICATE, replicates])
+        x, y, count = _batch_rows(*_sample_batch(dgp, kind, n_patients, seeds))
+        rows = _Rows(x, y, count, count.astype(np.float64))
+        fits = _fit_paths(rows, kind, (treat, control))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for name in estimators:
+                if name == "npmle":
+                    s_treat, s_control, failures = _npmle_batch(
+                        rows, kind, treat, control, fits
+                    )
+                else:
+                    treat_arm, control_arm, failures = _ccw_batch(
+                        rows, kind, treat, control, convention, fits
+                    )
+                    s_treat, s_control = treat_arm.survival, control_arm.survival
+                ates = (s_treat[:, -1] - s_control[:, -1]).tolist()
+                out[name] += [
+                    ate if ok else None
+                    for ate, ok in zip(ates, failures.ok.tolist())
+                ]
+    return out
 
 
 def _worker_count() -> int:
@@ -294,39 +337,44 @@ def run_bias_study(config: StudyConfig) -> BiasReport:
     config.control.validate(dgp.T)
     start = time.perf_counter()
     truth = true_ate(dgp, kind, config.treat, config.control)
+    R = config.n_replicates
+    workers = min(_worker_count(), R)
+    bounds = [R * w // workers for w in range(workers + 1)]
     tasks = [
-        (
-            r,
-            kind,
-            dgp,
-            config.n_patients,
-            hash_key(config.master_seed, STREAM_REPLICATE, r),
-            config.estimators,
-            config.weight_convention,
-            config.treat,
-            config.control,
-        )
-        for r in range(config.n_replicates)
+        (kind, dgp, config.n_patients, config.master_seed, lo, hi,
+         config.estimators, config.weight_convention, config.treat,
+         config.control)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    results: list[dict[str, float | None] | None] = [None] * config.n_replicates
-    workers = _worker_count()
-    if workers == 1 or config.n_replicates == 1:
-        for task in tasks:
-            index, out = _replicate_worker(task)
-            results[index] = out
+    if workers == 1:
+        ranges = map(_run_range, tasks)
     else:
         # Imported here: the process machinery costs about 2 MB of
         # memory that serial studies never need.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, out in pool.map(
-                _replicate_worker, tasks, chunksize=max(1, len(tasks) // (workers * 4))
-            ):
-                results[index] = out
+            ranges = list(pool.map(_run_range, tasks))
+    results: dict[str, list[float | None]] = {
+        name: [] for name in config.estimators
+    }
+    for out in ranges:
+        for name in config.estimators:
+            results[name] += out[name]
+    return _report(config, truth, results, time.perf_counter() - start)
+
+
+def _report(
+    config: StudyConfig,
+    truth: float,
+    results: Mapping[str, list[float | None]],
+    runtime_seconds: float,
+) -> BiasReport:
+    """Summarize each estimator's replicate estimates (``None`` for a
+    failed replicate) against the true effect."""
     summaries: dict[str, EstimatorSummary] = {}
     for name in config.estimators:
-        estimates = tuple(res[name] for res in results)  # type: ignore[index]
+        estimates = tuple(results[name])
         values = [e for e in estimates if e is not None]
         failures = len(estimates) - len(values)
         if not values:
@@ -347,7 +395,7 @@ def run_bias_study(config: StudyConfig) -> BiasReport:
             failures=failures,
         )
     return BiasReport(
-        scenario=kind,
+        scenario=config.scenario,
         n_replicates=config.n_replicates,
         n_patients=config.n_patients,
         master_seed=config.master_seed,
@@ -356,7 +404,7 @@ def run_bias_study(config: StudyConfig) -> BiasReport:
         control=config.control,
         true_ate=truth,
         summaries=summaries,
-        runtime_seconds=time.perf_counter() - start,
+        runtime_seconds=runtime_seconds,
     )
 
 

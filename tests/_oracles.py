@@ -7,9 +7,11 @@ and one rebuilt network per exchangeability cell instead of bitsets
 and one pass per column, counterfactual survival by enumerating the
 intervened generating process instead of the closed-form product, and
 the estimators by walking every patient and every clone row instead of
-the distinct-trajectory counts, and the cohort CSV boundary by one
+the distinct-trajectory counts, the cohort CSV boundary by one
 ``csv`` row and one trajectory object at a time instead of columns of
-int8 arrays.
+int8 arrays, and a bias study one replicate at a time, each sampled with
+a full hash per draw and estimated on its own distinct trajectories,
+instead of whole chunks of replicates in one batch.
 """
 
 from __future__ import annotations
@@ -19,16 +21,30 @@ import random
 from collections import Counter, defaultdict, deque
 from typing import NamedTuple
 
+import numpy as np
+
+from ttebench import harness
+from ttebench._rng import (
+    SLOT_OUTCOME,
+    SLOT_TREATMENT,
+    STREAM_REPLICATE,
+    STREAM_SAMPLE,
+    hash_key,
+    uniform_array,
+)
 from ttebench.dgp import (
     UNCLEAR,
     Cohort,
     DgpTable,
     Trajectory,
+    TrajectoryCounts,
+    default_dgp,
     enumerate_distribution,
+    true_ate,
     validate_trajectory,
 )
 from ttebench.errors import EmptyStratum, NoAtRiskRows
-from ttebench.estimators import CloneRow, WeightConvention
+from ttebench.estimators import CloneRow, WeightConvention, ccw_ate, npmle_ate
 from ttebench.graphs import C, Admg, NodeKind, NodeLabel, X, Y, Yx, build_graph
 from ttebench.scenarios import Regime, ScenarioKind, build_trial_graph
 
@@ -387,6 +403,30 @@ def oracle_npmle(cohort, kind, treat, control, weights=None):
     return s_t, s_c, s_t[-1] - s_c[-1]
 
 
+def oracle_standardized_npmle(cohort, kind, treat, control, weights, baseline):
+    """Baseline-standardized plug-in curves one level at a time: each
+    level's sub-cohort estimated on its own, its curves added with the
+    level's share of the patient weight, levels in ``repr`` order."""
+    w = [1.0] * cohort.n if weights is None else [float(v) for v in weights]
+    groups: dict = {}
+    for i, level in enumerate(baseline):
+        groups.setdefault(level, []).append(i)
+    total = sum(w)
+    curve_t = [0.0] * cohort.T
+    curve_c = [0.0] * cohort.T
+    for level in sorted(groups, key=repr):
+        idx = groups[level]
+        share = sum(w[i] for i in idx) / total
+        if share == 0.0:
+            continue
+        sub = Cohort(cohort.x[idx], cohort.y[idx], cohort.scenario)
+        est = npmle_ate(sub, kind, treat, control, weights=[w[i] for i in idx])
+        for k in range(cohort.T):
+            curve_t[k] += share * est.survival_treat[k]
+            curve_c[k] += share * est.survival_control[k]
+    return curve_t, curve_c
+
+
 def _survivor_factor(strata, k, history, observed) -> float:
     _, survivor = strata
     num, den = survivor.get((k, history), (0.0, 0.0))
@@ -579,3 +619,76 @@ def oracle_read_cohort_csv(path, scenario: ScenarioKind) -> Cohort:
         if traj.T != trajectories[0].T:
             raise ValueError("trajectories have inconsistent lengths")
     return Cohort.from_trajectories(trajectories, scenario)
+
+
+# ------------------------------------------------ per-replicate bias study
+
+
+def _table_array(table, k: int, length: int) -> np.ndarray:
+    """A period's probabilities over history bit codes (bit j-1 holds
+    period j's treatment)."""
+    return np.array([
+        table[(k, tuple((code >> j) & 1 for j in range(length)))]
+        for code in range(2**length)
+    ])
+
+
+def oracle_sample_arrays(dgp: DgpTable, kind: ScenarioKind, n: int, seed: int):
+    """One cohort's int8 ``(n, T)`` arrays, every draw hashed from its
+    whole key (seed, stream, patient, period, slot)."""
+    T = dgp.T
+    ids = np.arange(n, dtype=np.uint64)
+    x = np.full((n, T), -1, dtype=np.int8)
+    y = np.ones((n, T), dtype=np.int8)
+    alive = np.ones(n, dtype=bool)
+    code = np.zeros(n, dtype=np.int64)
+    for k in range(1, T + 1):
+        u_out = uniform_array([seed, STREAM_SAMPLE, ids, k, SLOT_OUTCOME])
+        u_trt = uniform_array([seed, STREAM_SAMPLE, ids, k, SLOT_TREATMENT])
+        if kind.treatment_first:
+            p_trt = _table_array(dgp.propensity, k, k - 1)[code]
+            treated = alive & (u_trt < p_trt)
+            x[alive, k - 1] = treated[alive]
+            code = code + (treated.astype(np.int64) << (k - 1))
+            died = alive & (u_out < _table_array(dgp.hazard, k, k)[code])
+            y[alive & ~died, k - 1] = 0
+            alive = alive & ~died
+        else:
+            died = alive & (u_out < _table_array(dgp.hazard, k, k - 1)[code])
+            y[alive & ~died, k - 1] = 0
+            alive = alive & ~died
+            p_trt = _table_array(dgp.propensity, k, k - 1)[code]
+            treated = alive & (u_trt < p_trt)
+            x[alive, k - 1] = treated[alive]
+            code = code + (treated.astype(np.int64) << (k - 1))
+    return x, y
+
+
+def oracle_bias_study(config) -> "harness.BiasReport":
+    """:func:`ttebench.harness.run_bias_study` one replicate at a time:
+    sample the cohort, collapse it to its own distinct trajectories and
+    run each estimator on it, recording ``None`` where it raises an
+    estimation error. The summaries are the harness's own."""
+    kind = config.scenario
+    dgp = default_dgp(kind)
+    config.treat.validate(dgp.T)
+    config.control.validate(dgp.T)
+    results: dict = {name: [] for name in config.estimators}
+    for r in range(config.n_replicates):
+        seed = hash_key(config.master_seed, STREAM_REPLICATE, r)
+        x, y = oracle_sample_arrays(dgp, kind, config.n_patients, seed)
+        counts = TrajectoryCounts.from_cohort(Cohort(x, y, kind, seed))
+        for name in config.estimators:
+            try:
+                if name == "npmle":
+                    estimate = npmle_ate(counts, kind, config.treat, config.control)
+                else:
+                    estimate = ccw_ate(
+                        counts, kind, config.treat, config.control,
+                        config.weight_convention,
+                    )
+                results[name].append(estimate.ate)
+            except (EmptyStratum, NoAtRiskRows):
+                results[name].append(None)
+    truth = true_ate(dgp, kind, config.treat, config.control)
+    return harness._report(config, truth, results, 0.0)

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ttebench.harness as harness_mod
 from ttebench import (
+    WORKERS_ENV_VAR,
     Regime,
     StudyConfig,
     WorkbenchError,
@@ -331,6 +333,29 @@ def test_bias_study_config_errors_are_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bias-study", "--config", str(config_path))
     assert code == 1
     assert err.startswith("error: ValueError: unknown config keys")
+
+
+@pytest.mark.parametrize("arm", ["treat", "control"])
+def test_bias_study_ccw_grace_regime_is_exit_1_before_sampling(
+    tmp_path, capsys, monkeypatch, arm
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a study whose config cannot run")
+
+    monkeypatch.setattr(harness_mod, "_sample_batch", no_sampling)
+    # Rejected in this process, before any worker starts.
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+    config_path = tmp_path / "grace.json"
+    config_path.write_text(json.dumps(
+        {"scenario": "B", "n_replicates": 4, "n_patients": 20,
+         arm: "uniform_grace(2)"}
+    ))
+    code, out, err = run_cli(capsys, "bias-study", "--config", str(config_path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: ValueError: grace-period regimes are not supported by "
+        "cloning-censoring-weighting; use npmle_ate"
+    ]
 
 
 def _is_positive_int(value):

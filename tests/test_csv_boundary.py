@@ -13,6 +13,7 @@ import io
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,8 +143,10 @@ def test_writer_bytes_match_the_oracle(tmp_path_factory, case, chunk):
 )
 @settings(max_examples=60, deadline=None)
 def test_sampler_matches_per_row_trajectories(kind, n, seed):
-    x, y = dgp_mod._sample_arrays(default_dgp(kind), kind, n, seed)
-    expected = oracle_trajectories(x, y)
+    x, y = dgp_mod._sample_batch(
+        default_dgp(kind), kind, n, np.array([seed], dtype=np.uint64)
+    )
+    expected = oracle_trajectories(x[0], y[0])
     got = sample_cohort(default_dgp(kind), kind, n, seed).trajectories
     assert got == expected
     # Equal trajectories share one object.

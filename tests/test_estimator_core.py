@@ -11,7 +11,7 @@ must raise the same error for the same stratum or arm and period.
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttebench import (
@@ -39,6 +39,7 @@ from ._oracles import (
     oracle_counts,
     oracle_fit_strata,
     oracle_npmle,
+    oracle_standardized_npmle,
 )
 
 SCENARIOS = (ScenarioKind.from_code("A"), ScenarioKind.from_code("B"))
@@ -206,3 +207,29 @@ def test_core_matches_per_patient_oracle(case):
                     ref.patient_id, ref.arm, ref.period, ref.at_risk,
                     ref.event, ref.censored_now)
                 assert close([row.weight], [ref.weight], False, rel=TOL)
+
+
+@given(cohorts(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_baseline_standardization_matches_per_level_estimates(case, data):
+    """Standardized curves are bit-identical to each level's own
+    sub-cohort estimate averaged by weight share, and the first level
+    that raises raises the same error."""
+    kind, cohort, weights, _ = case
+    assume(weights is None or sum(weights) > 0)
+    baseline = data.draw(st.lists(
+        st.sampled_from([0, 1, "b", (2,)]), min_size=cohort.n, max_size=cohort.n
+    ), label="baseline")
+    treat, control = data.draw(st.sampled_from(NPMLE_ARMS), label="arms")
+    want = outcome(lambda: oracle_standardized_npmle(
+        cohort, kind, treat, control, weights, baseline))
+    got = outcome(lambda: npmle_ate(
+        cohort, kind, treat, control, weights=weights, baseline=baseline))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got == want
+        return
+    est, (s_t, s_c) = got[1], want[1]
+    assert list(est.survival_treat) == s_t
+    assert list(est.survival_control) == s_c
+    assert est.ate == s_t[-1] - s_c[-1]

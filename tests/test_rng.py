@@ -54,6 +54,20 @@ def test_scalar_and_array_paths_agree():
         assert float(values[i]) == uniform(9, 0x5A, i, 2, 1)
 
 
+def test_array_fold_continues_from_a_prefix_hash():
+    counters = np.arange(50, dtype=np.uint64).reshape(5, 10)
+    seeds = np.array([[0], [7], [MASK]], dtype=np.uint64)
+    whole = uniform_array([seeds[:, :, None], 0x5A, counters, 3, 1])
+    prefix = hash_key_array([seeds[:, :, None], 0x5A, counters])
+    assert whole.shape == (3, 5, 10)
+    assert np.array_equal(hash_key_array([3], prefix), hash_key_array(
+        [seeds[:, :, None], 0x5A, counters, 3]
+    ))
+    assert np.array_equal(
+        uniform_array([1], hash_key_array([3], prefix)), whole
+    )
+
+
 def test_uniform_range_and_mean():
     counters = np.arange(20_000, dtype=np.uint64)
     values = uniform_array([123, counters])
